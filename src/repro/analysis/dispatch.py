@@ -1,9 +1,10 @@
 """Pluggable dispatch backends for sweep-batch execution.
 
-The sweep engine (:mod:`repro.analysis.runner`) and the campaign service
-(:mod:`repro.service`) both execute the same unit of work: a *batch* of
-:class:`~repro.analysis.runner.SweepPoint` objects, grouped by trace key
-so each dispatch pays trace acquisition and IPC once.  This module is the
+The sweep engine (:mod:`repro.analysis.runner`) executes one unit of
+work: a *batch* of :class:`~repro.analysis.runner.SweepPoint` objects,
+grouped by trace key so each dispatch pays trace acquisition and IPC
+once.  The campaign service (:mod:`repro.service`) keeps one backend warm
+and hands it to every ``run_points`` call.  This module is the
 seam between "what to run" and "where to run it":
 
 * :class:`DispatchBackend` — the ABC.  ``submit(fn, batch)`` returns a
@@ -13,33 +14,30 @@ seam between "what to run" and "where to run it":
 * :class:`SerialBackend` — runs the batch inline during ``submit`` (the
   zero-overhead path the runner uses for ``workers <= 1``).
 * :class:`InProcessBackend` — a thread pool.  GIL-bound for pure-Python
-  simulation, but batches complete concurrently with the caller, which is
-  what the asyncio campaign service needs for observed (in-process-only)
-  points and for tests that want pool semantics without process spawn.
+  simulation, but batches complete concurrently with the caller: pool
+  semantics without process spawn (``repro serve --backend inproc`` and
+  tests).
 * :class:`ProcessPoolBackend` — a :class:`ProcessPoolExecutor`; the true
   parallel path.  ``shutdown(cancel_pending=True)`` cancels every queued
   batch **and terminates running workers**, so a blocked or long-running
   worker can never wedge a Ctrl-C.
 
 :func:`run_batches` is the synchronous driver the runner uses: submit
-every batch, fold completions through a callback as they land, and on
-``KeyboardInterrupt``/``SystemExit`` cancel + drain the backend before
-re-raising — completed batches keep their (atomically written) cache
-entries, pending ones simply never run.  :func:`graceful_sigterm` routes
-SIGTERM through the same path so ``kill <pid>`` behaves like Ctrl-C.
+every batch, fold completions (and per-batch failures) through callbacks
+as they land, and on ``KeyboardInterrupt``/``SystemExit`` cancel + drain
+the backend before re-raising — completed batches keep their (atomically
+written) cache entries, pending ones simply never run.
+:func:`graceful_sigterm` routes SIGTERM through the same path so
+``kill <pid>`` behaves like Ctrl-C.
 """
 
 from __future__ import annotations
 
+import queue
 import signal
 import threading
 from abc import ABC, abstractmethod
-from concurrent.futures import (
-    Future,
-    ProcessPoolExecutor,
-    ThreadPoolExecutor,
-    as_completed,
-)
+from concurrent.futures import Future, ProcessPoolExecutor, ThreadPoolExecutor
 from contextlib import contextmanager
 from typing import Callable, Dict, List, Optional, Sequence
 
@@ -136,9 +134,7 @@ class InProcessBackend(DispatchBackend):
     """Thread-pool backend: concurrent completion without process spawn.
 
     Simulation is pure Python, so threads do not add CPU parallelism; the
-    value is asynchrony (the campaign service's event loop keeps serving
-    while batches run) and shared memory (observed points can hand their
-    live :class:`~repro.obs.Observer` back to the caller).
+    value is asynchrony without process spawn.
     """
 
     name = "inproc"
@@ -196,9 +192,10 @@ class ProcessPoolBackend(DispatchBackend):
         if not cancel_pending:
             pool.shutdown(wait=True)
             return
-        # Snapshot the worker table first: executor.shutdown() nulls
-        # ``_processes`` even with wait=False.
+        # Snapshot the worker table and manager thread first:
+        # executor.shutdown() nulls both even with wait=False.
         processes = dict(getattr(pool, "_processes", None) or {})
+        manager = getattr(pool, "_executor_manager_thread", None)
         pool.shutdown(wait=False, cancel_futures=True)
         # Drain: kill live workers so a blocked simulation cannot hold the
         # interpreter (the executor would otherwise join them at exit).
@@ -212,6 +209,8 @@ class ProcessPoolBackend(DispatchBackend):
                 process.join(timeout=5.0)
             except (OSError, ValueError, AssertionError):
                 pass
+        if manager is not None:
+            manager.join(timeout=5.0)  # it exits once it sees the dead workers
 
 
 #: Backend registry: name -> class (CLI ``repro serve --backend``).
@@ -264,30 +263,52 @@ def run_batches(
     fn: Callable,
     batches: Sequence[Sequence],
     on_batch: Optional[Callable[[int, List], None]] = None,
+    on_error: Optional[Callable[[int, Exception], None]] = None,
 ) -> List[Optional[List]]:
     """Submit every batch and fold completions as they land.
 
     Returns outputs in input order (``outputs[i]`` for ``batches[i]``);
     ``on_batch(index, outputs)`` fires in *completion* order, which is what
-    incremental cache writes and live metrics hang off.  On
-    ``KeyboardInterrupt``/``SystemExit`` the pending batches are cancelled,
-    the backend is drained (``shutdown(cancel_pending=True)``) and the
-    interrupt re-raised — work already completed stays completed.
+    incremental cache writes and live metrics hang off.  A batch already
+    done when ``submit`` returns (the serial backend's) is folded at once,
+    so an interrupt never loses it.  On ``KeyboardInterrupt``/``SystemExit``
+    the pending batches are cancelled, the backend is drained
+    (``shutdown(cancel_pending=True)``) and the interrupt re-raised — work
+    already completed stays completed.
 
-    A batch that raises any other exception propagates after the loop is
-    abandoned; callers treat that as "this dispatch strategy failed"
-    (the runner falls back to its serial loop).
+    A batch that raises any other exception — or is cancelled by a drain
+    of the backend — is handed to ``on_error(index, exc)`` (its output
+    stays None) and the other batches continue; without ``on_error`` the
+    exception propagates.
     """
-    futures: Dict[Future, int] = {}
+    futures: List[Future] = []
     outputs: List[Optional[List]] = [None] * len(batches)
+    # Done-callbacks, not as_completed: a future cancelled by
+    # shutdown(cancel_futures=True) runs its callbacks but never wakes an
+    # as_completed waiter.
+    landed: "queue.SimpleQueue[int]" = queue.SimpleQueue()
+
+    def _fold(index: int) -> None:
+        try:
+            outputs[index] = futures[index].result()
+        except Exception as exc:
+            if on_error is None:
+                raise
+            on_error(index, exc)
+            return
+        if on_batch is not None:
+            on_batch(index, outputs[index])
+
     try:
+        folded = 0
         for index, batch in enumerate(batches):
-            futures[backend.submit(fn, batch)] = index
-        for future in as_completed(futures):
-            index = futures[future]
-            outputs[index] = future.result()
-            if on_batch is not None:
-                on_batch(index, outputs[index])
+            futures.append(backend.submit(fn, batch))
+            futures[index].add_done_callback(lambda _, i=index: landed.put(i))
+            while not landed.empty():
+                _fold(landed.get())
+                folded += 1
+        for _ in range(folded, len(batches)):
+            _fold(landed.get())
     except (KeyboardInterrupt, SystemExit):
         for future in futures:
             future.cancel()

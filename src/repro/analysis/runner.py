@@ -2,20 +2,25 @@
 
 Every figure/table in the evaluation fans out over (directory kind x
 provisioning ratio x workload) sweep points — dozens of independent pure-
-Python simulations.  This module is the one place that executes them:
+Python simulations.  This module is the one place that executes them;
+the CLI, the experiments and the campaign service all call
+:func:`run_points`:
 
 * **Fan-out** — :func:`run_points` distributes independent sweep points
   across a pluggable :class:`~repro.analysis.dispatch.DispatchBackend`
-  (``workers > 1``; a process pool by default) with deterministic result
-  ordering: results come back in input order and are byte-identical to a
-  serial run, because each simulation is fully determined by its
-  :class:`SweepPoint`.  ``workers=1`` (the default), a single pending
-  point, or any pool failure (e.g. an unpicklable config) falls back to
-  the plain serial loop.  Completed batches write their cache entries
-  *incrementally* (atomic per-entry files), and ``KeyboardInterrupt`` /
-  SIGTERM mid-sweep cancels pending batches, drains the pool (terminating
-  blocked workers) and re-raises — a killed sweep keeps every finished
-  point and never leaves a partially-written cache entry.
+  (``workers > 1``, or a live backend the caller keeps warm; a process
+  pool by default) with deterministic result ordering: results come back
+  in input order and are byte-identical to a serial run, because each
+  simulation is fully determined by its :class:`SweepPoint`.
+  ``workers=1`` (the default) or a single pending point runs inline, as
+  does a sweep whose backend cannot start.  A batch that raises fails
+  exactly its own points; the rest of the sweep continues.  Completed
+  batches write their cache entries *incrementally* (atomic per-entry
+  files) and report each point through the ``on_point`` hook, and
+  ``KeyboardInterrupt`` / SIGTERM mid-sweep cancels pending batches,
+  drains the pool (terminating blocked workers) and re-raises — a killed
+  sweep keeps every finished point and never leaves a partially-written
+  cache entry.
 * **Batched dispatch** — pending points are grouped by *trace key* (the
   workload-generation parameterization) and shipped to workers in batches,
   so each worker derives or loads its input trace once per batch and pays
@@ -58,6 +63,7 @@ import hashlib
 import json
 import math
 import os
+import threading
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -195,7 +201,7 @@ class DiskCache:
         except FileNotFoundError:
             return None
         except (OSError, ValueError):
-            counters.corrupt_entries += 1
+            counters.add(corrupt_entries=1)
             self._discard(path)
             return None
         try:
@@ -207,7 +213,7 @@ class DiskCache:
                 raise ValueError("cache wrapper version/key mismatch")
             return result_from_dict(wrapper["result"])
         except Exception:
-            counters.corrupt_entries += 1
+            counters.add(corrupt_entries=1)
             self._discard(path)
             return None
 
@@ -229,7 +235,7 @@ class DiskCache:
             with open(tmp, "w") as handle:
                 json.dump(wrapper, handle, separators=(",", ":"))
             os.replace(tmp, path)
-            counters.disk_writes += 1
+            counters.add(disk_writes=1)
         except OSError:
             self._discard(tmp)
 
@@ -290,10 +296,19 @@ class RunnerCounters:
         total = self.lookups
         return (self.memo_hits + self.disk_hits) / total if total else 0.0
 
+    def add(self, **deltas: float) -> None:
+        """Increment counters by name, atomically: concurrent
+        :func:`run_points` calls (one per service campaign) share them."""
+        with _COUNTERS_LOCK:
+            for name, delta in deltas.items():
+                setattr(self, name, getattr(self, name) + delta)
+
     def reset(self) -> None:
         """Zero every counter (tests and benchmarks)."""
         self.__init__()
 
+
+_COUNTERS_LOCK = threading.Lock()
 
 #: Process-global counters (reset with ``counters.reset()``).
 counters = RunnerCounters()
@@ -405,18 +420,44 @@ def clear_all() -> None:
 
 # ------------------------------------------------------------------ execution
 
+#: What :func:`_compute_point` returns: (result, seconds, trace_seconds,
+#: gauges) — plain data, so it crosses a process boundary.
+PointOutput = Tuple[SimulationResult, float, float, Dict[str, float]]
+
+
+@dataclass(frozen=True)
+class PointOutcome:
+    """How one input point of :func:`run_points` completed (``on_point``).
+
+    ``source`` is ``"cache"`` (memo or disk hit), ``"computed"`` or
+    ``"failed"`` (then ``error`` holds ``"Type: message"`` and ``result``
+    is None).  ``seconds`` is the compute wall time (0 for a cache hit),
+    ``key`` the result-cache key (``""`` for observed points, which bypass
+    the cache) and ``gauges`` an observed point's latest epoch gauges
+    (:meth:`~repro.obs.epoch.EpochSampler.latest_gauges`).
+    """
+
+    source: str
+    result: Optional[SimulationResult] = None
+    seconds: float = 0.0
+    key: str = ""
+    error: Optional[str] = None
+    gauges: Dict[str, float] = field(default_factory=dict)
+
+
 def _compute_point(
     point: SweepPoint,
     spool_dir: Optional[str] = None,
     spool_enabled: bool = True,
-) -> Tuple[SimulationResult, float, float]:
-    """Run one sweep point; returns (result, seconds, trace_seconds).
+) -> PointOutput:
+    """Run one sweep point; returns (result, seconds, trace_seconds, gauges).
 
     The input trace comes from the shared trace store (memo -> spool ->
     generate) in packed form, so repeated points over one workload never
     regenerate it; ``trace_seconds`` is the acquisition share of the
-    point's wall time.  Top-level so :class:`ProcessPoolExecutor` can
-    pickle it.
+    point's wall time.  An observed point also writes its exports and
+    returns its sampler's latest gauges (empty otherwise).  Top-level so
+    :class:`ProcessPoolExecutor` can pickle it.
     """
     start = time.perf_counter()
     trace = trace_store.get_packed_trace(
@@ -429,6 +470,7 @@ def _compute_point(
         disk_enabled=spool_enabled,
     )
     trace_seconds = time.perf_counter() - start
+    gauges: Dict[str, float] = {}
     if point.observed:
         system = build_system(point.config)
         observer = attach(system, point.obs)
@@ -437,16 +479,18 @@ def _compute_point(
             meta={"workload": point.workload, "ops_per_core": point.ops_per_core,
                   "seed": point.seed}
         )
+        if observer.sampler is not None:
+            gauges = observer.sampler.latest_gauges()
     else:
         result = run_trace(point.config, trace, engine=point.engine)
-    return result, time.perf_counter() - start, trace_seconds
+    return result, time.perf_counter() - start, trace_seconds, gauges
 
 
 def _run_batch(
     batch: Sequence[SweepPoint],
     spool_dir: Optional[str] = None,
     spool_enabled: bool = True,
-) -> List[Tuple[SimulationResult, float, float]]:
+) -> List[PointOutput]:
     """Worker entry point: compute one batch of points in order.
 
     A batch is the unit of pool dispatch — the worker pays pickling/IPC
@@ -507,76 +551,68 @@ def _plan_batches(
     return batches
 
 
-def _serial_compute(
-    points: Sequence[SweepPoint],
-    spool_dir: Optional[str],
-    spool_enabled: bool,
-    on_output: Optional[Callable[[int, Tuple], None]] = None,
-) -> List[Tuple[SimulationResult, float, float]]:
-    """The plain serial loop (also the parallel-failure fallback)."""
-    outputs: List[Tuple[SimulationResult, float, float]] = []
-    for index, point in enumerate(points):
-        output = _compute_point(point, spool_dir, spool_enabled)
-        if on_output is not None:
-            on_output(index, output)
-        outputs.append(output)
-    return outputs
-
-
 def _compute_batch(
     points: Sequence[SweepPoint],
     workers: int,
     spool_dir: Optional[str],
     spool_enabled: bool,
     batch_size: int,
-    backend_name: Optional[str] = None,
-    on_output: Optional[Callable[[int, Tuple], None]] = None,
-) -> List[Tuple[SimulationResult, float, float]]:
-    """Compute every point through a dispatch backend when asked.
+    backend: Union[str, dispatch.DispatchBackend, None],
+    on_output: Callable[[int, Union[PointOutput, Exception]], None],
+) -> None:
+    """Compute every point, folding each through ``on_output`` as it lands.
 
-    Output order matches input order regardless of worker scheduling;
-    ``on_output(point_index, output)`` fires in *completion* order (the
-    hook incremental cache writes hang off — an interrupted sweep keeps
-    everything that finished).  Any backend-level failure (pickling,
-    missing OS support, broken pool) falls back to the serial loop so a
-    sweep never dies on parallel plumbing; ``KeyboardInterrupt`` and
-    SIGTERM cancel pending batches, drain the pool and re-raise.
+    ``on_output(point_index, output)`` fires once per point in completion
+    order — the hook incremental cache writes hang off, so an interrupted
+    sweep keeps everything that finished.  A point whose batch raised gets
+    the exception as its output; the other batches continue.
+
+    A live ``backend`` is always used and never shut down.  Otherwise
+    ``workers > 1`` with several points dispatches through a fresh backend
+    (named, or the configured default) and one worker runs the points
+    inline, one batch each.  A backend that cannot start falls back to
+    inline.  ``KeyboardInterrupt`` and SIGTERM cancel pending batches,
+    drain the backend and re-raise.
     """
-    with dispatch.graceful_sigterm():
-        if workers <= 1 or len(points) <= 1:
-            # Explicit serial path: one worker never pays for an executor.
-            return _serial_compute(points, spool_dir, spool_enabled, on_output)
-        plan = _plan_batches(points, workers, batch_size)
-        run = partial(_run_batch, spool_dir=spool_dir, spool_enabled=spool_enabled)
-        backend = dispatch.make_backend(
-            backend_name or str(_DEFAULTS["backend"]), min(workers, len(plan))
-        )
-        computed: List[Optional[Tuple[SimulationResult, float, float]]]
-        computed = [None] * len(points)
-
-        def _fold(batch_index: int, outputs: List[Tuple]) -> None:
-            for point_index, output in zip(plan[batch_index], outputs):
-                computed[point_index] = output
-                if on_output is not None:
-                    on_output(point_index, output)
-
+    live = isinstance(backend, dispatch.DispatchBackend)
+    parallel = live or (workers > 1 and len(points) > 1)
+    if parallel:
+        plan = _plan_batches(points, backend.workers if live else workers, batch_size)
+        if not live:
+            backend = dispatch.make_backend(
+                backend or str(_DEFAULTS["backend"]), min(workers, len(plan))
+            )
         try:
+            backend.start()
+        except Exception:
+            counters.add(parallel_fallbacks=1)
+            parallel = False
+    if not parallel:
+        plan = [[index] for index in range(len(points))]
+        backend = dispatch.SerialBackend()
+
+    def _fold(batch_index: int, outputs) -> None:
+        for offset, point_index in enumerate(plan[batch_index]):
+            on_output(
+                point_index,
+                outputs if isinstance(outputs, Exception) else outputs[offset],
+            )
+
+    run = partial(_run_batch, spool_dir=spool_dir, spool_enabled=spool_enabled)
+    try:
+        with dispatch.graceful_sigterm():
             dispatch.run_batches(
                 backend,
                 run,
                 [[points[i] for i in batch] for batch in plan],
                 on_batch=_fold,
+                on_error=_fold,
             )
-            counters.parallel_batches += 1
-            counters.dispatches += len(plan)
-            return computed  # type: ignore[return-value]
-        except (KeyboardInterrupt, SystemExit):
-            raise
-        except Exception:
-            counters.parallel_fallbacks += 1
-        finally:
+    finally:
+        if not live:
             backend.shutdown()
-        return _serial_compute(points, spool_dir, spool_enabled, on_output)
+    if parallel:
+        counters.add(parallel_batches=1, dispatches=len(plan))
 
 
 def run_points(
@@ -586,8 +622,9 @@ def run_points(
     cache_enabled: Optional[bool] = None,
     trace_cache_enabled: Optional[bool] = None,
     batch_size: Optional[int] = None,
-    backend: Optional[str] = None,
-) -> List[SimulationResult]:
+    backend: Union[str, dispatch.DispatchBackend, None] = None,
+    on_point: Optional[Callable[[int, PointOutcome], None]] = None,
+) -> List[Optional[SimulationResult]]:
     """Execute sweep points through memo -> disk cache -> (parallel) compute.
 
     Results are returned in input order; duplicate points are simulated
@@ -598,6 +635,16 @@ def run_points(
     interrupted sweep resumes from everything already computed.  Per-call
     arguments override the configured defaults (None means "use the
     default").
+
+    ``backend`` is a backend name or a live
+    :class:`~repro.analysis.dispatch.DispatchBackend`; batches for a live
+    one are planned for its own worker count, and it is left running for
+    the caller's next call.  ``on_point(index, outcome)`` fires exactly
+    once per input index, duplicates included, in completion order, with
+    a :class:`PointOutcome`.  A batch that raises fails exactly its own
+    points: with ``on_point`` they report ``"failed"`` and come back as
+    None; without it the first such error is raised once every other
+    batch has finished.  Concurrent calls (from threads) are safe.
     """
     workers = _effective_workers(workers)
     use_disk = _DEFAULTS["cache_enabled"] if cache_enabled is None else bool(cache_enabled)
@@ -630,8 +677,10 @@ def run_points(
         key = point.memo_key
         hit = _MEMO.get(key)
         if hit is not None:
-            counters.memo_hits += 1
+            counters.add(memo_hits=1)
             results[index] = hit
+            if on_point is not None:
+                on_point(index, PointOutcome("cache", hit, key=cache_key(point)))
             continue
         if key in pending:
             pending[key][1].append(index)
@@ -640,9 +689,11 @@ def run_points(
         if use_disk:
             loaded = disk.load(disk_key)
             if loaded is not None:
-                counters.disk_hits += 1
+                counters.add(disk_hits=1)
                 _MEMO[key] = loaded
                 results[index] = loaded
+                if on_point is not None:
+                    on_point(index, PointOutcome("cache", loaded, key=disk_key))
                 continue
         pending[key] = (point, [index], disk_key)
 
@@ -662,31 +713,44 @@ def run_points(
                     *trace_key, root=spool_dir, disk_enabled=use_spool
                 )
 
-        def _store_output(todo_index: int, output: Tuple) -> None:
-            # Fires as each batch completes: an interrupted sweep keeps
-            # every finished point in both cache layers (idempotent, so
-            # the serial fallback re-calling it is harmless).
-            point, _, disk_key = entries[todo_index]
-            if not point.observed:
-                _MEMO[point.memo_key] = output[0]
-                if use_disk:
-                    disk.store(disk_key, point, output[0])
+        point_seconds: List[float] = []
+        failures: List[Exception] = []
 
-        computed = _compute_batch(
-            todo, workers, spool_dir, use_spool, batch_size,
-            backend_name=backend, on_output=_store_output,
+        def _fold(todo_index: int, output) -> None:
+            # Fires as each batch completes: an interrupted sweep keeps
+            # every finished point in both cache layers.
+            point, indices, disk_key = entries[todo_index]
+            if isinstance(output, Exception):
+                failures.append(output)
+                outcome = PointOutcome(
+                    "failed", error=f"{type(output).__name__}: {output}"
+                )
+            else:
+                result, seconds, trace_seconds, gauges = output
+                if not point.observed:
+                    _MEMO[point.memo_key] = result
+                    if use_disk:
+                        disk.store(disk_key, point, result)
+                counters.add(
+                    computed=1, compute_seconds=seconds, trace_seconds=trace_seconds
+                )
+                point_seconds.append(seconds)
+                outcome = PointOutcome("computed", result, seconds, disk_key,
+                                       gauges=gauges)
+                for index in indices:
+                    results[index] = result
+            if on_point is not None:
+                for index in indices:
+                    on_point(index, outcome)
+
+        _compute_batch(
+            todo, workers, spool_dir, use_spool, batch_size, backend, _fold
         )
-        counters.point_seconds = [seconds for _, seconds, _ in computed]
-        for (point, indices, disk_key), (result, seconds, trace_seconds) in zip(
-            entries, computed
-        ):
-            counters.computed += 1
-            counters.compute_seconds += seconds
-            counters.trace_seconds += trace_seconds
-            for index in indices:
-                results[index] = result
-    counters.batch_seconds += time.perf_counter() - batch_start
-    return results  # type: ignore[return-value]
+        counters.point_seconds = point_seconds
+        if failures and on_point is None:
+            raise failures[0]
+    counters.add(batch_seconds=time.perf_counter() - batch_start)
+    return results
 
 
 def simulate_point(

@@ -578,7 +578,7 @@ def cmd_serve(args: argparse.Namespace) -> int:
     backend.  The global sweep-engine flags apply: ``--workers`` sizes
     the backend (0 = auto), ``--cache-dir``/``--no-cache`` control the
     shared result cache and the campaign journal location, and
-    ``--batch-size`` overrides the work-stealing dispatch split.
+    ``--batch-size`` overrides the runner's even dispatch split.
     """
     import asyncio
 

@@ -185,8 +185,8 @@ def run_load(
     """Submit ``campaigns`` synthetic manifests back-to-back and poll all
     of them to completion.
 
-    Submissions are not throttled — the service's queue and work-stealing
-    batches absorb the burst — so the report's ``points_per_second`` is
+    Submissions are not throttled — the service's campaigns queue on its
+    dispatch backend — so the report's ``points_per_second`` is
     the sustained service throughput, and each campaign's submit→done
     wall time feeds the latency quantiles.
     """

@@ -25,7 +25,7 @@ Manifest schema (all fields optional except at least one factor level)::
       "replicates": 3,                 # re-run the grid with shifted seeds
       "seed_stride": 1000,             # replicate r uses seed + r*stride
       "config": {"moesi": false, "dir_ways": 8},   # constant overrides
-      "observe": {"epoch": 0}          # >0: run observed, in-process only
+      "observe": {"epoch": 0}          # >0: sample epochs, never cached
     }
 
 Expansion order is the canonical factor order (:data:`FACTOR_ORDER`) with

@@ -3,13 +3,15 @@
 ``repro serve`` promotes the one-shot sweep CLI into a persistent,
 stdlib-only service.  Clients POST **campaign manifests**
 (:mod:`repro.service.manifest`); the service expands them to sweep
-points, satisfies what it can from the campaign journal and the
-content-addressed result cache, and schedules the rest through a
-pluggable :class:`~repro.analysis.dispatch.DispatchBackend` in
-trace-key-grouped, work-stealing batches.  Every completed point is
-journaled (:mod:`repro.service.store`) and cached atomically *as it
-finishes*, so a killed server restarted on the same manifest re-runs
-only the missing points.
+points, satisfies what it can from the campaign journal, and hands the
+rest to one :func:`~repro.analysis.runner.run_points` call per campaign
+— the same scheduler the CLI uses (result cache, trace
+pre-materialization, trace-key-grouped batches) — over one warm
+:class:`~repro.analysis.dispatch.DispatchBackend` shared by every
+campaign.  The runner reports each point as it completes; the service
+journals it (:mod:`repro.service.store`), streams it and counts it, so a
+killed server restarted on the same manifest re-runs only the missing
+points.
 
 HTTP API (JSON unless noted; see docs/SERVICE.md):
 
@@ -26,10 +28,11 @@ HTTP API (JSON unless noted; see docs/SERVICE.md):
 ``GET /``                  service + backend description
 ========================== ==============================================
 
-Observed campaigns (manifest ``observe.epoch > 0``) run their points
-in-process so the freshest epoch sample's gauges
-(:meth:`~repro.obs.epoch.EpochSampler.latest_gauges`) are surfaced at
-``/metrics`` as ``repro_obs_gauge{gauge=...,campaign=...}``.
+Observed campaigns (manifest ``observe.epoch > 0``) run on the same
+backend as any other; each point's latest epoch gauges
+(:meth:`~repro.obs.epoch.EpochSampler.latest_gauges`) come back with its
+result and are surfaced at ``/metrics`` as
+``repro_obs_gauge{gauge=...,campaign=...}``.
 
 The HTTP layer is deliberately tiny: HTTP/1.1 request parsing over
 asyncio streams, ``Connection: close`` per request, no TLS, bind to
@@ -40,20 +43,16 @@ from __future__ import annotations
 
 import asyncio
 import json
-import math
 import socket
 import threading
 import time
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from ..analysis import dispatch as dispatch_mod
 from ..analysis import runner
-from ..obs import attach
-from ..sim.simulator import run_trace
-from ..sim.system import build_system
 from ..workloads import store as trace_store
 from .manifest import CampaignManifest, ManifestError, PointSpec, parse_manifest
 from .metrics import MetricsRegistry, render_gauge_dict
@@ -75,8 +74,8 @@ class ServiceConfig:
 
     ``workers=0`` resolves to the runner's clamped default;
     ``cache_dir=None`` uses the configured runner cache root;
-    ``batch_size=0`` picks the work-stealing split (several batches per
-    worker, so idle workers pull queued batches).
+    ``batch_size`` is forwarded to :func:`~repro.analysis.runner.run_points`
+    (0 = its even split across the backend's workers).
     """
 
     host: str = "127.0.0.1"
@@ -121,7 +120,7 @@ class Campaign:
         self.cache_hits = 0   # points satisfied from the result cache
         self.executed = 0     # points actually simulated by this process
         self.events: List[Dict] = []   # completion records, stream order
-        self.cond = asyncio.Condition()
+        self.wakeup = asyncio.Event()  # set (then replaced) on every change
 
     def counts(self) -> Dict[str, int]:
         """Per-state point counts."""
@@ -132,6 +131,11 @@ class Campaign:
 
     def done(self) -> bool:
         return self.status in ("done", "failed", "cancelled")
+
+    def wake(self) -> None:
+        """Wake every stream waiting on this campaign (event-loop thread)."""
+        self.wakeup.set()
+        self.wakeup = asyncio.Event()
 
     def summary_dict(self) -> Dict:
         """The list-view JSON shape."""
@@ -170,31 +174,6 @@ class Campaign:
         return out
 
 
-def _run_observed_point(
-    point, spool_dir: str, spool_enabled: bool
-) -> Tuple[object, object, float]:
-    """Execute one observed point in-process; returns (result, observer, s).
-
-    Runs on an executor thread — observed points cannot cross a process
-    boundary and come back with a live :class:`~repro.obs.Observer`, which
-    is exactly what the ``/metrics`` obs gauges need.
-    """
-    start = time.perf_counter()
-    trace = trace_store.get_packed_trace(
-        point.workload,
-        point.config.num_cores,
-        point.ops_per_core,
-        seed=point.seed,
-        block_bytes=point.config.block_bytes,
-        root=spool_dir,
-        disk_enabled=spool_enabled,
-    )
-    system = build_system(point.config)
-    observer = attach(system, point.obs)
-    result = run_trace(point.config, trace, system=system, observer=observer)
-    return result, observer, time.perf_counter() - start
-
-
 class CampaignService:
     """Schedules campaigns over a dispatch backend; owns journal + metrics."""
 
@@ -206,8 +185,6 @@ class CampaignService:
         self.config = config or ServiceConfig()
         cache_dir = self.config.cache_dir or str(runner.configure()["cache_dir"])
         self.cache_dir = cache_dir
-        self.disk = runner.DiskCache(cache_dir)
-        self.spool_dir = str(runner.trace_spool_root(cache_dir))
         self.store = CampaignStore(runner.campaigns_root(cache_dir))
         workers = self.config.workers or runner._effective_workers(None)
         self.backend = dispatch_mod.make_backend(self.config.backend, workers)
@@ -350,16 +327,6 @@ class CampaignService:
 
     # -- scheduling ---------------------------------------------------------
 
-    def _service_batch_size(self, pending: int) -> int:
-        """Work-stealing split: several small batches per worker."""
-        if self.config.batch_size > 0:
-            return self.config.batch_size
-        return max(1, min(math.ceil(pending / (self.backend.workers * 4)), 32))
-
-    async def _notify(self, campaign: Campaign) -> None:
-        async with campaign.cond:
-            campaign.cond.notify_all()
-
     def _complete_point(
         self,
         campaign: Campaign,
@@ -413,14 +380,39 @@ class CampaignService:
             }
         )
 
+    def _record(
+        self,
+        campaign: Campaign,
+        index: int,
+        outcome: runner.PointOutcome,
+        journal_handle,
+    ) -> None:
+        """Fold one ``run_points`` completion in (event-loop thread)."""
+        if campaign.done():
+            return  # cancelled: its journal is closed
+        if outcome.source == "failed":
+            self._fail_point(campaign, index, outcome.error)
+        else:
+            if outcome.source == "cache":
+                campaign.cache_hits += 1
+            else:
+                campaign.executed += 1
+            if outcome.gauges:
+                self._obs_campaign = campaign.id
+                self._obs_gauges = outcome.gauges
+            self._complete_point(
+                campaign, index, outcome.source, outcome.seconds,
+                outcome.result.summary(), journal_handle, key=outcome.key,
+            )
+        campaign.wake()
+
     async def _run(self, campaign: Campaign, journal: Dict[int, Dict]) -> None:
-        """The per-campaign scheduler task."""
+        """The per-campaign task: journal resume, then one ``run_points``."""
         loop = asyncio.get_running_loop()
         campaign.status = "running"
         campaign.started = time.time()
         journal_handle = self.store.open_journal(campaign.id)
         try:
-            # 1. Resume: journaled points are done, no re-execution.
             for index, record in sorted(journal.items()):
                 if index < len(campaign.specs) and campaign.states[index] == "pending":
                     self._complete_point(
@@ -430,188 +422,66 @@ class CampaignService:
                         journal_handle,
                     )
                     campaign.resumed += 1
-            await self._notify(campaign)
+            todo = [i for i, s in enumerate(campaign.states) if s == "pending"]
+            for index in todo:
+                campaign.states[index] = "running"
+            campaign.wake()
 
-            # 2. Result-cache probe: a point someone already computed (any
-            # process, any campaign) completes without dispatch.
-            pending = [
-                i for i, s in enumerate(campaign.states) if s == "pending"
-            ]
-            if self.config.cache_enabled:
-                still = []
-                for index in pending:
-                    point = campaign.specs[index].point
-                    if point.observed:
-                        still.append(index)
-                        continue
-                    hit = runner._MEMO.get(point.memo_key)
-                    key = runner.cache_key(point)
-                    if hit is not None:
-                        runner.counters.memo_hits += 1
-                    else:
-                        hit = self.disk.load(key)
-                        if hit is not None:
-                            runner.counters.disk_hits += 1
-                            runner._MEMO[point.memo_key] = hit
-                    if hit is None:
-                        still.append(index)
-                        continue
-                    campaign.cache_hits += 1
-                    self._complete_point(
-                        campaign, index, "cache", 0.0, hit.summary(),
-                        journal_handle, key=key,
-                    )
-                pending = still
-                await self._notify(campaign)
+            def on_point(local: int, outcome: runner.PointOutcome) -> None:
+                # Runs on the run_points thread.
+                if campaign.done():
+                    # Cancelled: abandon the sweep at its next completion.
+                    raise asyncio.CancelledError
+                loop.call_soon_threadsafe(
+                    self._record, campaign, todo[local], outcome, journal_handle
+                )
 
-            observed = [
-                i for i in pending if campaign.specs[i].point.observed
-            ]
-            plain = [i for i in pending if not campaign.specs[i].point.observed]
-
-            # 3. Materialize every distinct input trace once, off-loop.
-            seen = set()
-            for index in pending:
-                point = campaign.specs[index].point
-                trace_key = point.trace_memo_key
-                if trace_key in seen:
-                    continue
-                seen.add(trace_key)
+            if todo:
                 await loop.run_in_executor(
                     None,
                     partial(
-                        trace_store.get_packed_trace,
-                        *trace_key,
-                        root=self.spool_dir,
-                        disk_enabled=self.config.trace_cache_enabled,
+                        runner.run_points,
+                        [campaign.specs[i].point for i in todo],
+                        cache_dir=self.cache_dir,
+                        cache_enabled=self.config.cache_enabled,
+                        trace_cache_enabled=self.config.trace_cache_enabled,
+                        batch_size=self.config.batch_size,
+                        backend=self.backend,
+                        on_point=on_point,
                     ),
                 )
-
-            # 4. Dispatch plain points in trace-grouped batches.
-            futures: Dict[asyncio.Future, Tuple[str, object]] = {}
-            if plain:
-                points = [campaign.specs[i].point for i in plain]
-                plan = runner._plan_batches(
-                    points,
-                    self.backend.workers,
-                    self._service_batch_size(len(points)),
-                )
-                run_fn = partial(
-                    runner._run_batch,
-                    spool_dir=self.spool_dir,
-                    spool_enabled=self.config.trace_cache_enabled,
-                )
-                for batch_no, batch in enumerate(plan):
-                    cf = self.backend.submit(
-                        run_fn, [points[i] for i in batch]
-                    )
-                    for local in batch:
-                        campaign.states[plain[local]] = "running"
-                    futures[asyncio.wrap_future(cf)] = (
-                        "batch",
-                        [plain[local] for local in batch],
-                    )
-
-            # 5. Observed points run in-process, one executor task each.
-            for index in observed:
-                campaign.states[index] = "running"
-                future = loop.run_in_executor(
-                    None,
-                    _run_observed_point,
-                    campaign.specs[index].point,
-                    self.spool_dir,
-                    self.config.trace_cache_enabled,
-                )
-                futures[future] = ("observed", index)
-
-            await self._notify(campaign)
-
-            # 6. Fold completions as they land (work-stealing order).
-            outstanding = set(futures)
-            while outstanding:
-                finished, outstanding = await asyncio.wait(
-                    outstanding, return_when=asyncio.FIRST_COMPLETED
-                )
-                for future in finished:
-                    kind, payload = futures[future]
-                    if kind == "batch":
-                        self._fold_batch(campaign, payload, future, journal_handle)
-                    else:
-                        self._fold_observed(campaign, payload, future, journal_handle)
-                await self._notify(campaign)
-
             failed = campaign.counts()["failed"]
             campaign.status = "failed" if failed else "done"
         except asyncio.CancelledError:
             campaign.status = "cancelled"
             campaign.error = "service shutdown"
             raise
-        except ManifestError as exc:
-            campaign.status = "failed"
-            campaign.error = str(exc)
-        except Exception as exc:  # pragma: no cover - defensive
+        except Exception as exc:
             campaign.status = "failed"
             campaign.error = f"{type(exc).__name__}: {exc}"
         finally:
             campaign.finished = time.time()
             journal_handle.close()
-            await self._notify(campaign)
-
-    def _fold_batch(
-        self, campaign: Campaign, indices: List[int], future, journal_handle
-    ) -> None:
-        try:
-            outputs = future.result()
-        except Exception as exc:
-            for index in indices:
-                self._fail_point(campaign, index, f"{type(exc).__name__}: {exc}")
-            return
-        for index, (result, seconds, trace_seconds) in zip(indices, outputs):
-            point = campaign.specs[index].point
-            key = runner.cache_key(point)
-            runner._MEMO[point.memo_key] = result
-            if self.config.cache_enabled:
-                self.disk.store(key, point, result)
-            runner.counters.computed += 1
-            runner.counters.compute_seconds += seconds
-            runner.counters.trace_seconds += trace_seconds
-            campaign.executed += 1
-            self._complete_point(
-                campaign, index, "computed", seconds, result.summary(),
-                journal_handle, key=key,
-            )
-
-    def _fold_observed(
-        self, campaign: Campaign, index: int, future, journal_handle
-    ) -> None:
-        try:
-            result, observer, seconds = future.result()
-        except Exception as exc:
-            self._fail_point(campaign, index, f"{type(exc).__name__}: {exc}")
-            return
-        runner.counters.computed += 1
-        runner.counters.compute_seconds += seconds
-        campaign.executed += 1
-        sampler = getattr(observer, "sampler", None)
-        if sampler is not None:
-            gauges = sampler.latest_gauges()
-            if gauges:
-                self._obs_campaign = campaign.id
-                self._obs_gauges = gauges
-        self._complete_point(
-            campaign, index, "computed", seconds, result.summary(),
-            journal_handle,
-        )
+            campaign.wake()
 
     # -- lifecycle ----------------------------------------------------------
 
     async def stop(self) -> None:
-        """Cancel running campaigns and drain the backend."""
+        """Cancel running campaigns, drain the backend, join every thread.
+
+        A cancelled campaign's ``run_points`` call gives up at its next
+        completion; draining the backend makes that completion come at
+        once (queued batches are cancelled, pool workers terminated).
+        """
         tasks = list(self._tasks.values())
         for task in tasks:
             task.cancel()
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
+        self.backend.shutdown(cancel_pending=True)
+        await asyncio.get_running_loop().shutdown_default_executor()
+        # A run_points call still planning at the first drain may have
+        # restarted the pool with its submit.
         self.backend.shutdown(cancel_pending=True)
 
     def describe(self) -> Dict:
@@ -697,6 +567,11 @@ class HttpFrontend:
             if code is not None:
                 self.service.m_http.inc(method=method, code=str(code))
             try:
+                # Half-close first: pool workers forked while this
+                # connection was open hold a copy of its socket, so
+                # close() alone does not reach the client as end of stream.
+                if writer.can_write_eof():
+                    writer.write_eof()
                 writer.close()
                 await writer.wait_closed()
             except (ConnectionError, RuntimeError):
@@ -806,6 +681,7 @@ class HttpFrontend:
         )
         sent = 0
         while True:
+            wakeup = campaign.wakeup
             while sent < len(campaign.events):
                 line = json.dumps(
                     campaign.events[sent], separators=(",", ":")
@@ -815,11 +691,10 @@ class HttpFrontend:
             await writer.drain()
             if campaign.done() and sent >= len(campaign.events):
                 return 200
-            async with campaign.cond:
-                try:
-                    await asyncio.wait_for(campaign.cond.wait(), timeout=5.0)
-                except asyncio.TimeoutError:
-                    pass
+            try:
+                await asyncio.wait_for(wakeup.wait(), timeout=5.0)
+            except asyncio.TimeoutError:
+                pass
 
 
 # ------------------------------------------------------------------- runners

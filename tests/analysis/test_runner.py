@@ -14,6 +14,7 @@ import json
 import os
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -288,6 +289,89 @@ class TestBatchedScheduling:
         runner.run_points([tiny_point()], cache_dir=tmp_path, cache_enabled=False)
         assert trace_store.counters.disk_hits == 1
         assert trace_store.counters.generated == 0
+
+
+class TestCompletionHook:
+    """``on_point`` fires once per input index; failures stay per batch."""
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_hook_reports_every_index_with_its_source(self, tmp_path, workers):
+        memo_hit, disk_hit, fresh, other = (tiny_point(seed=s) for s in (1, 2, 3, 4))
+        runner.run_points([memo_hit, disk_hit], cache_dir=tmp_path, cache_enabled=True)
+        del runner._MEMO[disk_hit.memo_key]
+        runner.counters.reset()
+        points = [memo_hit, disk_hit, fresh, other, fresh, memo_hit]
+        seen = []
+        results = runner.run_points(
+            points, workers=workers, cache_dir=tmp_path, cache_enabled=True,
+            backend="inproc", on_point=lambda i, outcome: seen.append((i, outcome)),
+        )
+        assert sorted(i for i, _ in seen) == list(range(len(points)))
+        sources = {i: outcome.source for i, outcome in seen}
+        assert sources == {0: "cache", 1: "cache", 2: "computed", 3: "computed",
+                           4: "computed", 5: "cache"}
+        for i, outcome in seen:
+            assert outcome.result is results[i]
+            assert outcome.key == runner.cache_key(points[i])
+            assert outcome.error is None and outcome.gauges == {}
+            assert (outcome.seconds > 0) == (outcome.source == "computed")
+        assert (runner.counters.memo_hits, runner.counters.disk_hits,
+                runner.counters.computed) == (2, 1, 2)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failing_batch_fails_only_its_points(self, tmp_path, monkeypatch, workers):
+        real_run_batch = runner._run_batch
+
+        def _fail_seed_two(batch, spool_dir=None, spool_enabled=True):
+            if any(point.seed == 2 for point in batch):
+                raise RuntimeError("seed two is cursed")
+            return real_run_batch(batch, spool_dir, spool_enabled)
+
+        monkeypatch.setattr(runner, "_run_batch", _fail_seed_two)
+        points = [tiny_point(seed=s) for s in (1, 2, 3)]
+        seen = {}
+        results = runner.run_points(
+            points, workers=workers, cache_dir=tmp_path, batch_size=1,
+            cache_enabled=True, backend="inproc", on_point=seen.__setitem__,
+        )
+        assert seen[1].source == "failed" and results[1] is None
+        assert seen[1].error == "RuntimeError: seed two is cursed"
+        assert [seen[i].source for i in (0, 2)] == ["computed", "computed"]
+        assert runner.counters.parallel_fallbacks == 0  # never re-run serially
+
+        # Without a hook the error is raised, after the other points landed.
+        runner.clear_memo()
+        disk = runner.DiskCache(tmp_path)
+        disk.clear()
+        with pytest.raises(RuntimeError, match="cursed"):
+            runner.run_points(points, workers=workers, cache_dir=tmp_path,
+                              batch_size=1, cache_enabled=True, backend="inproc")
+        assert [disk.load(runner.cache_key(p)) is not None for p in points] == [
+            True, False, True
+        ]
+
+    def test_concurrent_calls_lose_no_counts(self):
+        point = tiny_point()
+        runner.run_points([point], cache_enabled=False)
+        runner.counters.reset()
+        threads = [
+            threading.Thread(
+                target=runner.run_points, args=([point] * 200,),
+                kwargs={"cache_enabled": False},
+            )
+            for _ in range(8)
+        ]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert runner.counters.memo_hits == 8 * 200
 
 
 class TestObservedPoints:

@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import asyncio
 import json
+import multiprocessing
+import socket
 import threading
 import time
 import urllib.error
@@ -201,9 +203,10 @@ class TestScheduling:
         assert campaign.counts()["failed"] == 4
         assert all("synthetic batch failure" in (e or "") for e in campaign.errors)
 
-    def test_observed_campaign_surfaces_gauges(self, tmp_path):
+    @pytest.mark.parametrize("backend", ["inproc", "pool"])
+    def test_observed_campaign_surfaces_gauges(self, tmp_path, backend):
         async def scenario():
-            service = CampaignService(service_config(tmp_path))
+            service = CampaignService(service_config(tmp_path, backend=backend))
             try:
                 observed = manifest(
                     factors={
@@ -221,12 +224,38 @@ class TestScheduling:
         campaign, text = asyncio.run(scenario())
         assert campaign.status == "done"
         assert campaign.executed == 1
+        # Dispatched through the backend like any point, no side path.
+        assert runner.counters.parallel_batches == 1
         parsed = parse_prometheus(text)
         obs = parsed.get("repro_obs_gauge", {})
         gauge_names = {dict(items)["gauge"] for items in obs}
         assert "dir_occupancy" in gauge_names
         assert "epoch_op" in gauge_names
         assert all(dict(items)["campaign"] == campaign.id for items in obs)
+
+
+    def test_concurrent_campaigns_match_direct_sweep(self, tmp_path):
+        first = manifest()
+        second = manifest(factors={**TINY["factors"], "seed": [2]})  # disjoint
+
+        async def scenario():
+            service = CampaignService(service_config(tmp_path))
+            try:
+                return await asyncio.gather(
+                    run_campaign(service, first), run_campaign(service, second)
+                )
+            finally:
+                await service.stop()
+
+        (a, _), (b, _) = asyncio.run(scenario())
+        assert (a.status, b.status) == ("done", "done")
+        assert runner.counters.computed == a.executed + b.executed == 8
+        for campaign, m in ((a, first), (b, second)):
+            runner.clear_memo()
+            direct = runner.run_points(
+                [s.point for s in m.expand()], workers=1, cache_enabled=False
+            )
+            assert campaign.summaries == [r.summary() for r in direct]
 
 
 class TestResumeAfterKill:
@@ -437,6 +466,46 @@ class TestHttpApi:
             assert "over the limit" in body["error"]
         finally:
             handle.stop()
+
+
+class TestPoolLifecycle:
+    def test_stop_mid_campaign_leaves_nothing_running(self, tmp_path):
+        before = set(threading.enumerate())
+        handle = ServiceHandle(service_config(tmp_path, backend="pool")).start()
+        TestHttpApi._post_json(handle, "/campaigns", TINY)
+        handle.stop()
+        assert not handle._thread.is_alive()
+        assert set(threading.enumerate()) <= before
+        assert multiprocessing.active_children() == []
+
+    def test_first_campaign_stream_ends_with_pool_backend(self, tmp_path):
+        """Pool workers forked while a stream is open must not hold it open.
+
+        The stream connection is accepted before the campaign exists, so
+        the pool's first dispatch forks workers that inherit its socket.
+        """
+        handle = ServiceHandle(service_config(tmp_path, backend="pool")).start()
+        try:
+            address = ("127.0.0.1", handle.port)
+            with socket.create_connection(address, timeout=30) as sock:
+                _, submitted = TestHttpApi._post_json(handle, "/campaigns", TINY)
+                sock.sendall(
+                    f"GET /campaigns/{submitted['id']}/stream HTTP/1.1\r\n"
+                    "Host: localhost\r\n\r\n".encode()
+                )
+                TestHttpApi()._wait_done(handle, submitted["id"])
+                sock.settimeout(5.0)
+                data = b""
+                while True:
+                    chunk = sock.recv(65536)  # socket.timeout: no EOF
+                    if not chunk:
+                        break
+                    data += chunk
+        finally:
+            handle.stop()
+        body = data.split(b"\r\n\r\n", 1)[1]
+        events = [json.loads(line) for line in body.decode().splitlines()]
+        assert sorted(e["index"] for e in events) == [0, 1, 2, 3]
 
 
 class TestCliServe:
