@@ -3,8 +3,13 @@
 Measures the end-to-end trace replay (16-core ``mix`` workload through
 ``run_trace``) once on the interpreter and once on the vectorized
 table-driven engine (``engine="vector"``), for every directory
-organization the flat engine supports.  The report lands in
-``BENCH_vector.json`` at the repository root.
+organization the evaluation compares (``experiments.KINDS``).  Kinds
+without a flat view are listed as fallbacks with the reason
+``vector_supports`` gives, not measured.  The report lands in
+``BENCH_vector.json`` at the repository root, stamped with the commit
+(``git describe --always --dirty``), a SHA-256 of the ``src/`` tree (which
+still identifies the measured code when the commit is dirty),
+``cpu_count`` and Python version.
 
 The two engines produce bit-identical results (see
 ``tests/integration/test_golden_vector.py`` and ``repro fuzz --engine``),
@@ -26,32 +31,29 @@ or through pytest (``make bench-vector``)::
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 from pathlib import Path
 
+_ROOT = Path(__file__).resolve().parents[1]
+
 # Standalone bootstrap: make src/ importable when run as a script without
 # PYTHONPATH (the pytest path already has it configured).
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
+_SRC = str(_ROOT / "src")
 if _SRC not in sys.path:
     sys.path.insert(0, _SRC)
 
-from repro.analysis.experiments import make_config
+from repro.analysis.experiments import KINDS, make_config
 from repro.common.config import DirectoryKind
 from repro.sim.simulator import run_trace
 from repro.sim.trace import PackedTrace
 from repro.sim.vector import vector_supports
 from repro.workloads.suite import build_workload
-
-#: Organizations with a flat view (the vector engine's whole domain).
-KINDS = {
-    "sparse": DirectoryKind.SPARSE,
-    "ideal": DirectoryKind.IDEAL,
-    "stash": DirectoryKind.STASH,
-}
 
 #: Full-mode measurement parameters — identical to the hot-path benchmark
 #: (same workload, trace length, seed and provisioning ratio) so the
@@ -67,7 +69,7 @@ RATIO = 0.5
 SEED = 1
 WORKLOAD = "mix"
 
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_vector.json"
+OUTPUT = _ROOT / "BENCH_vector.json"
 
 #: Why the speedup plateaus where it does (recorded in the report so the
 #: number is read in context): both engines are pure CPython, and the
@@ -85,53 +87,91 @@ CEILING_NOTE = (
 )
 
 
-def measure_kind(kind: DirectoryKind, ops_per_core: int, reps: int) -> dict:
-    """Best-of-``reps`` accesses/sec for one kind, on both engines.
+def git_commit(root: Path = _ROOT) -> str | None:
+    """``git describe --always --dirty`` of ``root`` (None outside git)."""
+    try:
+        out = subprocess.run(
+            ["git", "describe", "--always", "--dirty"],
+            cwd=root, capture_output=True, text=True, check=True,
+        )
+    except (OSError, subprocess.CalledProcessError):
+        return None
+    return out.stdout.strip() or None
 
-    Each repetition rebuilds the engine state (construction is part of the
-    cost a sweep pays per point) and replays the same prebuilt packed
-    trace — the sweep engine's native input format.
-    """
-    config = make_config(kind, ratio=RATIO)
-    assert vector_supports(config) is None, kind
-    trace = build_workload(
+
+def source_digest(root: Path = _ROOT) -> str:
+    """SHA-256 over every file under ``root/src`` (path + bytes)."""
+    digest = hashlib.sha256()
+    src = root / "src"
+    for path in sorted(src.rglob("*")):
+        if path.is_file() and "__pycache__" not in path.parts:
+            digest.update(str(path.relative_to(src)).encode("utf-8") + b"\0")
+            digest.update(path.read_bytes())
+    return digest.hexdigest()
+
+
+def flat_kinds() -> tuple:
+    """``(measured, fallbacks)``: evaluated kinds with a flat view, and
+    every kind without one mapped to its ``vector_supports`` reason."""
+    reasons = {
+        kind: vector_supports(make_config(kind, ratio=RATIO))
+        for kind in DirectoryKind
+    }
+    measured = [kind for kind in KINDS if reasons[kind] is None]
+    fallbacks = {kind.value: why for kind, why in reasons.items() if why}
+    return measured, fallbacks
+
+
+def _packed(ops_per_core: int) -> PackedTrace:
+    config = make_config(DirectoryKind.SPARSE, ratio=RATIO)
+    return PackedTrace.from_trace(build_workload(
         WORKLOAD, config.num_cores, ops_per_core,
         seed=SEED, block_bytes=config.block_bytes,
-    )
-    packed = PackedTrace.from_trace(trace)
-    total = packed.total_ops()
-    rates = {}
-    for engine in ("interp", "vector"):
-        best = 0.0
-        for _ in range(reps):
-            start = time.perf_counter()
-            result = run_trace(config, packed, engine=engine)
-            elapsed = time.perf_counter() - start
-            if elapsed > 0:
-                best = max(best, total / elapsed)
-        assert result.engine == engine, (kind, engine, result.engine)
-        rates[engine] = round(best, 1)
-    interp, vector = rates["interp"], rates["vector"]
-    return {
-        "interp_accesses_per_sec": interp,
-        "vector_accesses_per_sec": vector,
-        "speedup": round(vector / interp, 3) if interp else None,
-    }
+    ))
+
+
+def _rate(kind: DirectoryKind, packed: PackedTrace, engine: str) -> float:
+    """Accesses/sec of one replay (engine state rebuilt, as a sweep does)."""
+    config = make_config(kind, ratio=RATIO)
+    start = time.perf_counter()
+    result = run_trace(config, packed, engine=engine)
+    elapsed = time.perf_counter() - start
+    assert result.engine == engine, (kind, engine, result.engine)
+    return packed.total_ops() / elapsed if elapsed > 0 else 0.0
 
 
 def run_report(smoke: bool = False, reps: int | None = None) -> dict:
-    """Measure every flat kind on both engines; return the report payload."""
+    """Measure every flat kind on both engines; return the report payload.
+
+    Repetitions alternate kinds and engines, so slow drifts in host speed
+    hit every column alike.
+    """
     ops = SMOKE_OPS if smoke else FULL_OPS
     reps = reps if reps is not None else (SMOKE_REPS if smoke else FULL_REPS)
-    num_cores = make_config(DirectoryKind.SPARSE, ratio=RATIO).num_cores
-    kinds = {
-        name: measure_kind(kind, ops, reps) for name, kind in KINDS.items()
-    }
-    return {
+    measured, fallbacks = flat_kinds()
+    packed = _packed(ops)
+    best = {(kind, engine): 0.0 for kind in measured for engine in ("interp", "vector")}
+    for _ in range(reps):
+        for kind in measured:
+            for engine in ("interp", "vector"):
+                rate = _rate(kind, packed, engine)
+                best[kind, engine] = max(best[kind, engine], rate)
+    kinds = {}
+    for kind in measured:
+        interp = round(best[kind, "interp"], 1)
+        vector = round(best[kind, "vector"], 1)
+        kinds[kind.value] = {
+            "interp_accesses_per_sec": interp,
+            "vector_accesses_per_sec": vector,
+            "speedup": round(vector / interp, 3) if interp else None,
+        }
+    payload = {
         "benchmark": "vector_engine_throughput",
         "mode": "smoke" if smoke else "full",
+        "commit": git_commit(),
+        "src_sha256": source_digest(),
         "workload": WORKLOAD,
-        "num_cores": num_cores,
+        "num_cores": packed.num_cores,
         "ops_per_core": ops,
         "ratio": RATIO,
         "seed": SEED,
@@ -140,7 +180,9 @@ def run_report(smoke: bool = False, reps: int | None = None) -> dict:
         "python": platform.python_version(),
         "ceiling_note": CEILING_NOTE,
         "kinds": kinds,
+        "fallbacks": fallbacks,
     }
+    return payload
 
 
 def write_report(payload: dict, output: Path = OUTPUT) -> None:
@@ -161,7 +203,10 @@ def test_vector_throughput(benchmark):
 
     payload = once(benchmark, lambda: run_report(smoke=False))
     write_report(payload)
-    assert set(payload["kinds"]) == set(KINDS)
+    assert set(payload["kinds"]) | set(payload["fallbacks"]) >= {
+        kind.value for kind in KINDS
+    }
+    assert not set(payload["kinds"]) & set(payload["fallbacks"])
     for name, row in payload["kinds"].items():
         assert row["interp_accesses_per_sec"] > 0, name
         assert row["vector_accesses_per_sec"] > 0, name
@@ -189,14 +234,16 @@ def main(argv=None) -> int:
 
     payload = run_report(smoke=args.smoke, reps=args.reps)
     write_report(payload, args.output)
-    print(f"wrote {args.output}")
-    width = max(len(name) for name in payload["kinds"])
+    print(f"wrote {args.output} (commit {payload['commit']})")
+    width = max(len(name) for name in [*payload["kinds"], *payload["fallbacks"]])
     for name, row in payload["kinds"].items():
         print(
             f"  {name:<{width}}  interp {row['interp_accesses_per_sec']:>10,.0f}"
             f"  vector {row['vector_accesses_per_sec']:>10,.0f} acc/s"
             f"  ({row['speedup']:.2f}x)"
         )
+    for name, reason in payload["fallbacks"].items():
+        print(f"  {name:<{width}}  fallback: {reason}")
     if payload["mode"] == "smoke":
         print("  (smoke mode: throughput is not cross-run comparable)")
     return 0

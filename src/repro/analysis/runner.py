@@ -104,12 +104,14 @@ class SweepPoint:
     silently skip the exports.  ``cache_key`` builds its payload from
     explicit fields, so plain points keep their existing cache keys.
 
-    ``engine`` selects the execution engine (``"interp"`` or
-    ``"vector"``, see :func:`repro.sim.simulator.run_trace`).  Both
-    produce bit-identical results, but the engines are cached separately
-    (the vector engine may transparently fall back, and ``result.engine``
-    records what actually ran — serving an interp result for a vector
-    request would silently lie about that).
+    ``engine`` is the execution engine to request (see
+    :func:`repro.sim.simulator.run_trace`).  The default, ``"vector"``,
+    runs every configuration with a flat view on the vector engine and
+    falls back to the interpreter, bit-identically, for the rest.  All
+    engines produce the same bits, so the engine is not part of the
+    point's identity: ``memo_key`` and ``cache_key`` leave it out, a point
+    computed on one engine serves requests for any other, and
+    ``result.engine`` records which engine actually computed the value.
     """
 
     workload: str
@@ -117,18 +119,12 @@ class SweepPoint:
     ops_per_core: int = 3000
     seed: int = 1
     obs: Optional[ObsConfig] = None
-    engine: str = "interp"
+    engine: str = "vector"
 
     @property
     def memo_key(self) -> tuple:
-        """Hashable in-memory memo key (the full parameterization)."""
-        return (
-            self.workload,
-            self.ops_per_core,
-            self.seed,
-            self.config,
-            self.engine,
-        )
+        """Hashable in-memory memo key (the parameterization, engine-free)."""
+        return (self.workload, self.ops_per_core, self.seed, self.config)
 
     @property
     def trace_memo_key(self) -> tuple:
@@ -168,10 +164,9 @@ def cache_key(point: SweepPoint) -> str:
         "seed": point.seed,
         "config": config_to_dict(point.config),
     }
-    if point.engine != "interp":
-        # Folded in only for non-default engines so every existing interp
-        # cache entry keeps its key.
-        payload["engine"] = point.engine
+    # The engine is provenance, not identity (every engine produces the
+    # same bits), so it stays out of the payload — which also keeps every
+    # interp-computed entry under the key it always had.
     canonical = json.dumps(payload, sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
@@ -758,7 +753,7 @@ def simulate_point(
     config: SystemConfig,
     ops_per_core: int = 3000,
     seed: int = 1,
-    engine: str = "interp",
+    engine: str = "vector",
 ) -> SimulationResult:
     """Single-point convenience wrapper over :func:`run_points`."""
     return run_points(

@@ -88,21 +88,6 @@ class CuckooDirectory(Directory):
             hier_pointers=config.hier_pointers,
         )
 
-    # -- hashing ---------------------------------------------------------------
-
-    def _slots(self, addr: int) -> tuple:
-        slots = self._slot_cache.get(addr)
-        if slots is None:
-            slots = tuple(
-                stride_hash(addr, way + 1) % self.slots_per_way
-                for way in range(self.d)
-            )
-            self._slot_cache[addr] = slots
-        return slots
-
-    def _slot(self, addr: int, way: int) -> int:
-        return self._slots(addr)[way]
-
     # -- Directory interface ------------------------------------------------------
 
     def lookup(self, addr: int, touch: bool = True) -> Optional[DirectoryEntry]:
@@ -131,9 +116,10 @@ class CuckooDirectory(Directory):
         # The displacement chain is the cuckoo directory's hot loop (several
         # steps per conflicting allocation), so the per-step work is flat:
         # candidate slots are fetched from the memo once per homeless entry
-        # and shared by the free-slot scan and the displacement pick (the
-        # method-based version recomputed them per candidate way), and the
-        # random way draw inlines randint's getrandbits rejection loop.
+        # and shared by the free-slot scan and the displacement pick, and
+        # the random way draw inlines randint's getrandbits rejection loop.
+        # The vector engine's flat cuckoo (repro.sim.vector) mirrors this
+        # loop step for step.
         tables = self._tables
         where = self._where
         slot_cache = self._slot_cache
@@ -169,11 +155,12 @@ class CuckooDirectory(Directory):
                     if relocations:
                         self.stats.add("relocations", relocations)
                     return AllocationResult(entry, eviction=None)
-            # All candidates full: displace one resident and recurse.  Never
-            # displace the entry being inserted (its candidate slots can
-            # collide with the homeless entry's), and avoid bouncing the
-            # displaced entry straight back into the slot it came from
-            # (same preference order as _pick_displacement_way).
+            # All candidates full: displace one resident and recurse.
+            # Preference order: starting from a uniformly random way, the
+            # first way that neither holds the entry being inserted (its
+            # candidate slots can collide with the homeless entry's) nor is
+            # the way just filled (no bouncing straight back); else the way
+            # just filled; else stop (only possible for d == 1).
             r = getrandbits(rand_bits)
             while r >= d:
                 r = getrandbits(rand_bits)
@@ -210,30 +197,6 @@ class CuckooDirectory(Directory):
         self.stats.add("evictions")
         self.stats.add("evictions_invalidate")
         return AllocationResult(entry, Eviction(homeless, EvictionAction.INVALIDATE))
-
-    def _pick_displacement_way(
-        self, homeless: DirectoryEntry, new_entry: DirectoryEntry, last_way: int
-    ) -> Optional[int]:
-        """Pick which candidate slot of ``homeless`` to displace.
-
-        Preference order: a random way that neither holds ``new_entry`` nor
-        is the way we just filled; then any way not holding ``new_entry``;
-        ``None`` when every option holds ``new_entry`` (only possible for
-        d == 1), which ends the chain with a conventional eviction.
-        """
-        start = self._rng.randint(0, self.d - 1)
-        fallback = None
-        for offset in range(self.d):
-            way = (start + offset) % self.d
-            slot = self._slot(homeless.addr, way)
-            occupant = self._tables[way][slot]
-            if occupant is new_entry:
-                continue
-            if way == last_way:
-                fallback = way
-                continue
-            return way
-        return fallback
 
     def deallocate(self, addr: int) -> None:
         pos = self._where.pop(addr, None)

@@ -33,6 +33,13 @@ contract:
   discovery, sharer-pointer overflow — run in ordinary Python over the
   same flat state, replicating the interpreter's exact decision order.
 
+The home-side steps are shared by every directory organization.  The
+set-associative kinds (sparse, stash) stay inlined in the machine, the
+ideal directory (and IN_LLC, which behaves as one) is the bare block map,
+and the cuckoo and SCD baselines plug in a small flat component that
+allocates entries (returning any victim) and releases them; directory
+occupancy, the effective-tracking input, is one shared counter.
+
 Configurations outside the flat model (see :func:`vector_supports`) are
 the interpreter's: ``run_trace(..., engine="vector")`` falls back
 transparently rather than approximating.
@@ -41,12 +48,16 @@ transparently rather than approximating.
 from __future__ import annotations
 
 import heapq
+import random
 from typing import Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
 from ..coherence.tables import L1Tables, l1_tables
-from ..common.addr import log2_exact
+from ..common.addr import log2_exact, stride_hash
+from ..common.rng import DeterministicRng
+from ..directory.cuckoo import DEFAULT_MAX_PATH
+from ..directory.hierarchical import DEFAULT_LEAF_SIZE, DEFAULT_POINTERS
 from ..directory.sharers import hier_auto_cluster
 from ..common.config import (
     DirectoryKind,
@@ -68,8 +79,17 @@ from .trace import PackedTrace
 DEFAULT_EPOCH_OPS = 8192
 
 #: Directory kinds with a flat view (the rest fall back to the interpreter).
+#: IN_LLC is behaviourally the ideal directory (``make_directory`` builds an
+#: IdealDirectory for it; only its storage model differs).
 _FLAT_KINDS = frozenset(
-    {DirectoryKind.SPARSE, DirectoryKind.IDEAL, DirectoryKind.STASH}
+    {
+        DirectoryKind.SPARSE,
+        DirectoryKind.IDEAL,
+        DirectoryKind.IN_LLC,
+        DirectoryKind.STASH,
+        DirectoryKind.CUCKOO,
+        DirectoryKind.SCD,
+    }
 )
 
 # Message-class indices into the flat NoC counter blocks (enum order).
@@ -100,7 +120,19 @@ _ST_OWNED = 4
 # Directory entry layout: [addr, owner, believed_mask, rep_a, rep_b, pos]
 # (rep_a/rep_b encode the sharer representation per format: full/coarse use
 # rep_a as the bitmask; limited uses rep_a as the pointer list and rep_b as
-# the overflow flag).
+# the overflow flag; SCD uses rep_a as the bitmask and rep_b as the entry's
+# line count).  ``pos`` is the entry's flat slot in set-associative and
+# cuckoo directories, -1 elsewhere.
+
+# Sharer representation codes (_FlatMachine.smode).
+_REP_FULL = 0
+_REP_COARSE = 1
+_REP_LIMITED = 2
+_REP_HIER = 3
+_REP_SCD = 4  # full bitmask plus a line count (SCD entries are exact)
+
+#: ``build_system`` seeds the directory's random stream with this spawn id.
+_DIRECTORY_RNG_STREAM = 3000
 
 
 def vector_supports(config: SystemConfig) -> Optional[str]:
@@ -113,7 +145,7 @@ def vector_supports(config: SystemConfig) -> Optional[str]:
     """
     kind = config.directory.kind
     if kind not in _FLAT_KINDS:
-        return f"directory kind {kind.value!r} has no flat view yet"
+        return f"directory kind {kind.value!r} has no flat view"
     if config.l2 is not None:
         return "private L2 hierarchies are interpreter-only"
     if config.memory_model is not MemoryModel.FLAT:
@@ -131,6 +163,155 @@ def vector_supports(config: SystemConfig) -> Optional[str]:
     if not float(config.timing.core_fixed_cpi).is_integer():
         return "fractional core_fixed_cpi breaks exact integer clocks"
     return None
+
+
+class _FlatCuckoo:
+    """Cuckoo directory (Ferdman et al., HPCA'11) as a flat component.
+
+    Mirrors :meth:`repro.directory.cuckoo.CuckooDirectory.allocate` step
+    for step: the ``d`` sub-tables lie end to end in one slot list (an
+    entry's ``pos`` is its flat slot), candidate slots come from the same
+    per-address ``stride_hash`` memo, and the relocation chain draws its
+    displacement ways from the same random stream with ``randint``'s
+    ``getrandbits`` rejection loop inlined.  The organization keeps no
+    replacement state, so directory hits touch nothing.
+    """
+
+    def __init__(self, config: SystemConfig, rep_new) -> None:
+        self.rep_new = rep_new
+        self.relocations = 0
+        self.d = d = config.directory.ways
+        entries = config.directory_entries
+        self.spw = entries // d
+        self.max_path = DEFAULT_MAX_PATH
+        self.slots: List[Optional[list]] = [None] * entries
+        self.free = entries
+        self.cand: Dict[int, tuple] = {}
+        self.rand_bits = d.bit_length()
+        seed = DeterministicRng(config.seed).spawn(_DIRECTORY_RNG_STREAM).seed
+        self.getrandbits = random.Random(seed).getrandbits
+
+    def allocate(self, blk: int) -> Tuple[list, Optional[list]]:
+        """Place a fresh entry; returns ``(entry, victim_or_None)``."""
+        entry = [blk, None, 0, self.rep_new(), 0, -1]
+        slots = self.slots
+        memo = self.cand
+        d = self.d
+        spw = self.spw
+        rand_bits = self.rand_bits
+        getrandbits = self.getrandbits
+        relocations = 0
+        homeless = entry
+        last_way = -1  # way just placed into; don't bounce straight back
+        # A full table stays full along the chain (each placement displaces
+        # one entry), so no candidate slot can be free: skip the scans.
+        scan = self.free > 0
+        for _step in range(self.max_path + 1):
+            haddr = homeless[0]
+            cand = memo.get(haddr)
+            if cand is None:
+                cand = memo[haddr] = tuple(
+                    way * spw + stride_hash(haddr, way + 1) % spw
+                    for way in range(d)
+                )
+            if scan:
+                for pos in cand:
+                    if slots[pos] is None:
+                        slots[pos] = homeless
+                        homeless[5] = pos
+                        if homeless is not entry:
+                            relocations += 1
+                        self.relocations += relocations
+                        self.free -= 1
+                        return entry, None
+            # All candidates full: displace a random way's occupant, never
+            # the new entry, preferring not to refill the way just left.
+            r = getrandbits(rand_bits)
+            while r >= d:
+                r = getrandbits(rand_bits)
+            pick = -1
+            fallback = -1
+            for offset in range(d):
+                way = r + offset
+                if way >= d:
+                    way -= d
+                if slots[cand[way]] is entry:
+                    continue
+                if way == last_way:
+                    fallback = way
+                    continue
+                pick = way
+                break
+            if pick < 0:
+                pick = fallback
+            if pick < 0:
+                break  # only the new entry's slot remains
+            pos = cand[pick]
+            displaced = slots[pos]
+            slots[pos] = homeless
+            homeless[5] = pos
+            if homeless is not entry:
+                relocations += 1
+            homeless = displaced
+            last_way = pick
+        # Chain exhausted: the still-homeless entry is the victim.
+        self.relocations += relocations
+        return entry, homeless
+
+    def release(self, e: list) -> None:
+        """Free a deallocated entry's slot."""
+        self.slots[e[5]] = None
+        self.free += 1
+
+
+class _FlatScd:
+    """SCD-lite (Sanchez & Kozyrakis, HPCA'12) as a flat component.
+
+    Mirrors :class:`repro.directory.hierarchical.ScdDirectory`: the
+    machine's insertion-ordered block map *is* the LRU pool (directory hits
+    move the entry to the MRU end), every entry holds an exact believed set
+    whatever the configured sharer format (``smode`` is ``_REP_SCD``), and
+    capacity is charged in lines — 1, or 1 root plus one per touched leaf
+    group once the sharers exceed ``pointers``.  Over-budget pools reclaim
+    lazily, one LRU block per allocation.
+    """
+
+    relocations = 0  # nothing relocates in a fully associative pool
+
+    def __init__(self, config: SystemConfig, dmap: Dict[int, list]) -> None:
+        self.dmap = dmap
+        self.capacity = config.directory_entries
+        self.pointers = DEFAULT_POINTERS
+        self.leaf_size = DEFAULT_LEAF_SIZE
+        self.leaf_mask = (1 << DEFAULT_LEAF_SIZE) - 1
+        self.lines = 0
+
+    def allocate(self, blk: int) -> Tuple[list, Optional[list]]:
+        """A fresh one-line entry plus the LRU block it displaces, if any."""
+        victim = None
+        if self.lines + 1 > self.capacity and self.dmap:
+            victim = next(iter(self.dmap.values()))
+            self.lines -= victim[4]
+        self.lines += 1
+        return [blk, None, 0, 0, 1, -1], victim
+
+    def release(self, e: list) -> None:
+        """Return a deallocated entry's lines to the pool."""
+        self.lines -= e[4]
+
+    def recount(self, e: list) -> None:
+        """Re-charge ``e`` after its sharer set changed."""
+        mask = e[3]
+        lines = 1
+        if mask.bit_count() > self.pointers:
+            leaf_mask = self.leaf_mask
+            leaf_size = self.leaf_size
+            while mask:
+                if mask & leaf_mask:
+                    lines += 1
+                mask >>= leaf_size
+        self.lines += lines - e[4]
+        e[4] = lines
 
 
 def flat_machine(config: SystemConfig, tables: Optional[L1Tables] = None):
@@ -214,14 +395,22 @@ class _FlatMachine:
         self.llc_occ = [0] * config.llc.sets
         self.stash_bits = 0  # resident stash-marked lines (F7 metric input)
 
-        # Directory.
+        # Directory.  Set-associative organizations (sparse, stash) are
+        # inlined in the machine; ideal (and IN_LLC) is the bare block map;
+        # cuckoo and SCD plug in a flat component (``fdir``) that
+        # allocates (returning any victim) and releases entries, with the
+        # machine's block map as the lookup structure for every kind.
         dcfg = config.directory
-        self.ideal = dcfg.kind is DirectoryKind.IDEAL
-        self.stash_capable = dcfg.kind is DirectoryKind.STASH
+        kind = dcfg.kind
+        self.ideal = kind is DirectoryKind.IDEAL or kind is DirectoryKind.IN_LLC
+        self.setassoc = kind is DirectoryKind.SPARSE or kind is DirectoryKind.STASH
+        self.mru_order = kind is DirectoryKind.SCD  # hits reorder the block map
+        self.stash_capable = kind is DirectoryKind.STASH
         self.excl_only = dcfg.stash_eligibility is StashEligibility.EXCLUSIVE_ONLY
         self.clean_notice = dcfg.clean_eviction_notification
         self.dmap: Dict[int, list] = {}
-        if self.ideal:
+        self.fdir = None
+        if not self.setassoc:
             self.dways = 0
             self.dir_mask = 0
             self.dentries: List[Optional[list]] = []
@@ -238,16 +427,32 @@ class _FlatMachine:
             self.dir_occ = [0] * dsets
         self.dir_occ_total = 0
 
-        # Sharer representation: 0 = full bitvector, 1 = coarse, 2 = limited,
-        # 3 = hierarchical (SCD-style two-level, see directory.sharers).
+        # Sharer representation (the _REP_* codes; hierarchical is the
+        # SCD-style two-level format of directory.sharers, which the SCD
+        # organization itself does not use).
         fmt = dcfg.sharer_format
-        self.smode = (
-            0
-            if fmt is SharerFormat.FULL_BIT_VECTOR
-            else 1
-            if fmt is SharerFormat.COARSE_VECTOR
-            else 2 if fmt is SharerFormat.LIMITED_POINTER else 3
+        if kind is DirectoryKind.SCD:
+            self.smode = _REP_SCD
+        elif fmt is SharerFormat.FULL_BIT_VECTOR:
+            self.smode = _REP_FULL
+        elif fmt is SharerFormat.COARSE_VECTOR:
+            self.smode = _REP_COARSE
+        elif fmt is SharerFormat.LIMITED_POINTER:
+            self.smode = _REP_LIMITED
+        else:
+            self.smode = _REP_HIER
+        # Targets are the set bits of rep_a (the inlined invalidation loops).
+        self.bitrep = self.smode == _REP_FULL or self.smode == _REP_SCD
+        # A fresh rep_a: pointer list, cluster map, or an empty bitmask.
+        self.rep_new = (
+            list
+            if self.smode == _REP_LIMITED
+            else dict if self.smode == _REP_HIER else int
         )
+        if kind is DirectoryKind.CUCKOO:
+            self.fdir = _FlatCuckoo(config, self.rep_new)
+        elif kind is DirectoryKind.SCD:
+            self.fdir = _FlatScd(config, self.dmap)
         self.group = dcfg.coarse_group
         self.pointers = dcfg.limited_pointers
         self.cluster = dcfg.hier_cluster or hier_auto_cluster(n)
@@ -332,11 +537,14 @@ class _FlatMachine:
 
     def _rep_add(self, e: list, core: int) -> None:
         m = self.smode
-        if m == 0:
+        if m == _REP_FULL:
             e[3] |= 1 << core
-        elif m == 1:
+        elif m == _REP_SCD:
+            e[3] |= 1 << core
+            self.fdir.recount(e)
+        elif m == _REP_COARSE:
             e[3] |= 1 << (core // self.group)
-        elif m == 2:
+        elif m == _REP_LIMITED:
             ids = e[3]
             if e[4] or core in ids:
                 return
@@ -364,13 +572,16 @@ class _FlatMachine:
 
     def _rep_remove(self, e: list, core: int) -> None:
         m = self.smode
-        if m == 0:
+        if m == _REP_FULL:
             e[3] &= ~(1 << core)
-        elif m == 2:
+        elif m == _REP_SCD:
+            e[3] &= ~(1 << core)
+            self.fdir.recount(e)
+        elif m == _REP_LIMITED:
             ids = e[3]
             if not e[4] and core in ids:
                 ids.remove(core)
-        elif m == 3:
+        elif m == _REP_HIER:
             c = core // self.cluster
             if not e[4] & (1 << c):
                 ids = e[3].get(c)
@@ -382,7 +593,7 @@ class _FlatMachine:
 
     def _targets(self, e: list) -> List[int]:
         m = self.smode
-        if m == 0:
+        if self.bitrep:
             result = []
             mask = e[3]
             core = 0
@@ -392,7 +603,7 @@ class _FlatMachine:
                 mask >>= 1
                 core += 1
             return result
-        if m == 1:
+        if m == _REP_COARSE:
             result = []
             n = self.n
             group = self.group
@@ -403,7 +614,7 @@ class _FlatMachine:
                     start = g * group
                     result.extend(range(start, min(start + group, n)))
             return result
-        if m == 2:
+        if m == _REP_LIMITED:
             if e[4]:
                 return list(range(self.n))
             return list(e[3])
@@ -427,20 +638,13 @@ class _FlatMachine:
 
     # -- directory entry operations --------------------------------------------
 
-    def _rep_new(self):
-        m = self.smode
-        if m == 2:
-            return []
-        if m == 3:
-            return {}
-        return 0
-
     def _new_entry(self, blk: int, pos: int) -> list:
-        return [blk, None, 0, self._rep_new(), 0, pos]
+        return [blk, None, 0, self.rep_new(), 0, pos]
 
     def _grant_exclusive(self, e: list, core: int) -> None:
         e[2] = 1 << core
-        if self.smode >= 2:
+        m = self.smode
+        if m == _REP_LIMITED or m == _REP_HIER:
             e[3].clear()
             e[4] = 0
         else:
@@ -460,35 +664,39 @@ class _FlatMachine:
 
     # -- directory structure ----------------------------------------------------
 
-    def _dir_lookup_touch(self, blk: int) -> Optional[list]:
-        e = self.dmap.get(blk)
-        if e is None:
-            self.c_dir_misses += 1
-            return None
-        self.c_dir_hits += 1
-        if not self.ideal:
-            self.tick = t = self.tick + 1
-            self.dir_lu[e[5]] = t
-        return e
-
     def _dir_deallocate(self, blk: int) -> None:
         e = self.dmap.pop(blk, None)
         if e is None:
             return
         self.c_dir_deallocs += 1
         self.dir_occ_total -= 1
-        if not self.ideal:
+        if self.setassoc:
             pos = e[5]
             self.dentries[pos] = None
             self.dir_occ[pos // self.dways] -= 1
+        elif self.fdir is not None:
+            self.fdir.release(e)
 
     def _dir_allocate(self, blk: int, home: int) -> int:
         """Track ``blk``; returns the latency of any eviction it forced."""
-        if self.ideal:
-            self.dmap[blk] = self._new_entry(blk, -1)
+        if not self.setassoc:
+            if self.ideal:
+                self.dmap[blk] = self._new_entry(blk, -1)
+                self.c_dir_allocs += 1
+                self.dir_occ_total += 1
+                return 0
+            e, victim = self.fdir.allocate(blk)
+            dmap = self.dmap
             self.c_dir_allocs += 1
-            self.dir_occ_total += 1
-            return 0
+            if victim is None:
+                dmap[blk] = e
+                self.dir_occ_total += 1
+                return 0
+            del dmap[victim[0]]
+            dmap[blk] = e
+            self.c_dir_evictions += 1
+            self.c_dir_ev_act_inval += 1
+            return self._execute_eviction(victim, False, home)
         dways = self.dways
         s = blk & self.dir_mask
         base = s * dways
@@ -574,7 +782,7 @@ class _FlatMachine:
         lat = self.lat
         hopt_home = hopt[home]
         lat_home = lat[home]
-        if self.smode == 0:
+        if self.bitrep:
             l1maps = self.l1maps
             l1_blocks = self.l1_blocks
             l1_occ = self.l1_occ
@@ -707,14 +915,18 @@ class _FlatMachine:
         nf[_REQUEST] += h
         latency = self.t_l1 + lat[core][home] + self.t_dir
         self.c_upgrade_requests += 1
-        e = self.dmap.get(blk)
+        dmap = self.dmap
+        e = dmap.get(blk)
         if e is not None:
             self.c_dir_hits += 1
-            if not self.ideal:
+            if self.setassoc:
                 self.tick = t = self.tick + 1
                 self.dir_lu[e[5]] = t
+            elif self.mru_order:
+                del dmap[blk]
+                dmap[blk] = e
             latency += self._invalidate_targets(e, blk, home, core, None)
-            if self.smode == 0:
+            if self.smode == _REP_FULL:
                 bit = 1 << core
                 e[2] = bit
                 e[3] = bit
@@ -733,8 +945,8 @@ class _FlatMachine:
             self.stash_bits -= 1
             self.c_stash_cleared += 1
             latency += self._dir_allocate(blk, home)
-            e = self.dmap[blk]
-            if self.smode == 0:
+            e = dmap[blk]
+            if self.smode == _REP_FULL:
                 bit = 1 << core
                 e[2] = bit
                 e[3] = bit
@@ -773,7 +985,7 @@ class _FlatMachine:
         dmap = self.dmap
         llcmap = self.llcmap
         bank_mask = self.bank_mask
-        smode0 = self.smode == 0
+        smode0 = self.smode == _REP_FULL
         if occ[s] == lways:
             base = s * lways
             vpos = base
@@ -830,10 +1042,12 @@ class _FlatMachine:
                         del dmap[vblk]
                         self.c_dir_deallocs += 1
                         self.dir_occ_total -= 1
-                        if not self.ideal:
+                        if self.setassoc:
                             pos = e[5]
                             self.dentries[pos] = None
                             self.dir_occ[pos // self.dways] -= 1
+                        elif self.fdir is not None:
+                            self.fdir.release(e)
                         self.c_empty_deallocs += 1
                 elif self.stash_capable and wrec[1]:
                     wrec[1] = 0
@@ -857,13 +1071,16 @@ class _FlatMachine:
         nh[_REQUEST] += h
         nf[_REQUEST] += h
         latency = self.t_l1 + lat[core][home] + self.t_dir
-        # Inlined _serve_miss / _dir_lookup_touch.
+        # Inlined _serve_miss and the directory lookup's replacement touch.
         e = dmap.get(blk)
         if e is not None:
             self.c_dir_hits += 1
-            if not self.ideal:
+            if self.setassoc:
                 self.tick = t = self.tick + 1
                 self.dir_lu[e[5]] = t
+            elif self.mru_order:
+                del dmap[blk]
+                dmap[blk] = e
             owner = e[1]
             if not w:
                 # -- directory hit, read -------------------------------
@@ -1075,16 +1292,18 @@ class _FlatMachine:
                         core, blk, w, home, latency
                     )
                 else:
-                    # Inlined _dir_allocate (free-way fast path; full
-                    # sets go through the generic eviction logic).
+                    # Inlined _dir_allocate for ideal and set-associative
+                    # directories (the full-set path too: directory
+                    # evictions are frequent at low provisioning); the
+                    # component kinds take the generic path.
                     if self.ideal:
-                        e = [blk, None, 0, self._rep_new(), 0, -1]
+                        e = [blk, None, 0, self.rep_new(), 0, -1]
                         dmap[blk] = e
                         self.c_dir_allocs += 1
                         self.dir_occ_total += 1
-                    else:
-                        dways = self.dways
+                    elif self.setassoc:
                         ds = blk & self.dir_mask
+                        dways = self.dways
                         dentries = self.dentries
                         if self.dir_occ[ds] == dways:
                             # Inlined _dir_allocate full-set path: evict
@@ -1131,7 +1350,7 @@ class _FlatMachine:
                                 blk,
                                 None,
                                 0,
-                                self._rep_new(),
+                                self.rep_new(),
                                 0,
                                 vpos,
                             ]
@@ -1165,14 +1384,7 @@ class _FlatMachine:
                             vpos = ds * dways
                             while dentries[vpos] is not None:
                                 vpos += 1
-                            e = [
-                                blk,
-                                None,
-                                0,
-                                self._rep_new(),
-                                0,
-                                vpos,
-                            ]
+                            e = [blk, None, 0, self.rep_new(), 0, vpos]
                             dentries[vpos] = e
                             dmap[blk] = e
                             self.tick = t = self.tick + 1
@@ -1180,6 +1392,9 @@ class _FlatMachine:
                             self.c_dir_allocs += 1
                             self.dir_occ[ds] += 1
                             self.dir_occ_total += 1
+                    else:
+                        latency += self._dir_allocate(blk, home)
+                        e = dmap[blk]
                     if smode0:
                         bit = 1 << core
                         e[2] = bit
@@ -1230,7 +1445,7 @@ class _FlatMachine:
         lat = self.lat
         hopt_home = hopt[home]
         lat_home = lat[home]
-        if self.smode == 0:
+        if self.bitrep:
             l1maps = self.l1maps
             l1_blocks = self.l1_blocks
             l1_occ = self.l1_occ
@@ -1325,7 +1540,7 @@ class _FlatMachine:
         self.llcmap[blk] = rec
         latency += self._dir_allocate(blk, home)
         e = self.dmap[blk]
-        if self.smode == 0:
+        if self.smode == _REP_FULL:
             bit = 1 << core
             e[2] = bit
             e[3] = bit
@@ -1352,7 +1567,7 @@ class _FlatMachine:
             nf = self.nf
             hopt = self.hopt
             hopt_home = hopt[home]
-            if self.smode == 0:
+            if self.bitrep:
                 l1maps = self.l1maps
                 l1_blocks = self.l1_blocks
                 l1_occ = self.l1_occ
@@ -1617,6 +1832,7 @@ class _FlatMachine:
             ("evictions_invalidate", self.c_dir_ev_act_inval),
             ("evictions_stash", self.c_dir_ev_act_stash),
             ("forced_invalidations", self.c_dir_forced),
+            ("relocations", 0 if self.fdir is None else self.fdir.relocations),
         ):
             if value:
                 s["system.directory." + name] = float(value)

@@ -84,7 +84,14 @@ DEFAULT_FUZZ_KINDS = tuple(
 #: Organizations the engine differential exercises: the flat engine's
 #: supported kinds, *including* IDEAL (here the interpreter — not the
 #: ideal directory — is the reference, so IDEAL is a real candidate).
-ENGINE_KINDS = (DirectoryKind.SPARSE, DirectoryKind.IDEAL, DirectoryKind.STASH)
+ENGINE_KINDS = (
+    DirectoryKind.SPARSE,
+    DirectoryKind.IDEAL,
+    DirectoryKind.STASH,
+    DirectoryKind.CUCKOO,
+    DirectoryKind.SCD,
+    DirectoryKind.IN_LLC,
+)
 
 
 @dataclass(frozen=True)

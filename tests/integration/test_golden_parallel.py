@@ -23,14 +23,16 @@ from repro.workloads.suite import build_workload
 
 OPS = 400
 
+#: Every organization: the evaluation's plus IN_LLC and the fallbacks.
+ALL_KINDS = KINDS + [k for k in DirectoryKind if k not in KINDS]
+
 #: Kinds with a flat view (the rest must fall back transparently).
 FLAT_KINDS = tuple(
-    k for k in KINDS
-    if k in (DirectoryKind.SPARSE, DirectoryKind.IDEAL, DirectoryKind.STASH)
+    k for k in ALL_KINDS if parallel_supports(make_config(k, 0.25)) is None
 )
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
 def test_parallel_run_bit_identical(kind):
     config = make_config(kind, 0.25)
     trace = PackedTrace.from_trace(
@@ -44,8 +46,21 @@ def test_parallel_run_bit_identical(kind):
     if kind in FLAT_KINDS:
         assert parallel.engine == "parallel"
     else:
-        assert parallel_supports(config) is not None
+        assert kind.value in parallel_supports(config)  # the reason names it
         assert parallel.engine == "interp"  # transparent fallback
+
+
+@pytest.mark.parametrize("kind", FLAT_KINDS, ids=[k.value for k in FLAT_KINDS])
+def test_speculative_run_bit_identical(kind):
+    """Speculation (warp past the horizon, flush, validate, squash and
+    replay) is exact on every flat organization, at a provisioning ratio
+    low enough that directory evictions interleave with speculated runs."""
+    config = make_config(kind, 0.125, seed=3)
+    trace = PackedTrace.from_trace(build_workload("locks-like", 16, 1200, seed=2))
+    interp = run_trace(config, trace)
+    engine = ParallelEngine(config, workers=0, speculate=True, spec_min=4)
+    assert engine.run(trace) == interp
+    assert engine.spec_stats["ops"] > 0
 
 
 @pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])

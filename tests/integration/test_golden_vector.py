@@ -1,7 +1,7 @@
 """Golden equivalence: the vector engine must not change a single bit.
 
-Replays one workload through every directory organization in the
-evaluation twice — once on the interpreter, once through
+Replays one workload through every directory organization twice — once
+on the interpreter, once through
 ``run_trace(..., engine="vector")`` — and requires identical per-core
 cycle counts and an identical flattened statistics tree.  Organizations
 without a flat view must fall back to the interpreter transparently (the
@@ -21,14 +21,21 @@ from repro.workloads.suite import build_workload
 
 OPS = 400
 
-#: Evaluation kinds the flat engine executes directly; the rest fall back.
+#: Every organization: the evaluation's plus IN_LLC and the fallbacks.
+ALL_KINDS = KINDS + [k for k in DirectoryKind if k not in KINDS]
+
+#: Kinds the flat engine executes directly; the rest fall back.
 FLAT_KINDS = tuple(
-    k for k in KINDS
-    if k in (DirectoryKind.SPARSE, DirectoryKind.IDEAL, DirectoryKind.STASH)
+    k for k in ALL_KINDS if vector_supports(make_config(k, 0.25)) is None
 )
 
 
-@pytest.mark.parametrize("kind", KINDS, ids=[k.value for k in KINDS])
+def test_flat_view_covers_every_evaluated_kind():
+    assert set(KINDS) <= set(FLAT_KINDS)
+    assert DirectoryKind.IN_LLC in FLAT_KINDS
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS, ids=[k.value for k in ALL_KINDS])
 def test_vector_run_bit_identical(kind):
     config = make_config(kind, 0.25)
     trace = PackedTrace.from_trace(
@@ -43,7 +50,7 @@ def test_vector_run_bit_identical(kind):
     if kind in FLAT_KINDS:
         assert vector.engine == "vector"
     else:
-        assert vector_supports(config) is not None
+        assert kind.value in vector_supports(config)  # the reason names it
         assert vector.engine == "interp"  # transparent fallback
 
 

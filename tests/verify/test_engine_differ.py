@@ -101,6 +101,25 @@ class TestFaultDetection:
             assert divergence.category == "engine-value"
             assert divergence.op_index == 1  # the write that lost its mint
 
+    @pytest.mark.parametrize(
+        "kind",
+        [DirectoryKind.CUCKOO, DirectoryKind.SCD, DirectoryKind.IN_LLC],
+        ids=lambda kind: kind.value,
+    )
+    def test_table_corrupt_caught_on_each_new_flat_kind(self, kind):
+        # Each kind that gained a flat view (the cuckoo and SCD components,
+        # IN_LLC as the ideal map) is on the verification axis, and the
+        # differential catches the corrupted table on it.
+        assert kind in ENGINE_KINDS
+        (divergence,) = run_engine_differential(
+            E_WRITE_PROGRAM,
+            kinds=[kind],
+            options=RunOptions(),
+            fault=ENGINE_FAULTS["table-corrupt"],
+        )
+        assert divergence.signature == (kind.value, "engine-value")
+        assert divergence.op_index == 1  # the write that lost its mint
+
     def test_table_corrupt_caught_by_generated_program(self):
         # The harness finds the fault from fuzz programs too, not only
         # the hand-built repro.
