@@ -5,8 +5,8 @@ the machine grows; this benchmark makes the simulator itself answer at
 those sizes.  For each core count it runs the ``weakscale-like`` workload
 (fixed ops *per core*, so total work grows with the machine) through the
 serial vector engine and through the bank-parallel run-length batching
-engine (:mod:`repro.sim.parallel`, ``workers=0`` and ``workers=2``
-conservative, plus the optimistic warp + replay speculation layer),
+engine (:mod:`repro.sim.parallel`, conservative and with the optimistic
+warp + replay speculation layer),
 asserts the results are **bit-identical** — per-core cycles, the full
 statistics tree and the effective-tracking samples — and records:
 
@@ -40,10 +40,12 @@ import sys
 import time
 from pathlib import Path
 
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = Path(__file__).resolve().parents[1]
+for _path in (str(_ROOT), str(_ROOT / "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
+from benchmarks.bench_vector import git_commit, source_digest
 from repro.analysis.experiments import make_config
 from repro.common.config import DirectoryKind, SharerFormat
 from repro.energy.area import storage_of
@@ -69,9 +71,8 @@ KIND = DirectoryKind.STASH
 RATIO = 0.125
 SEED = 1
 WORKLOAD = "weakscale-like"
-WORKERS = 2
 
-OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_scaling.json"
+OUTPUT = _ROOT / "BENCH_scaling.json"
 
 
 def _result_key(result):
@@ -98,12 +99,8 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
     reference_key = None
     runs = (
         ("vector", dict(engine="vector")),
-        ("parallel0", dict(engine="parallel", engine_workers=0)),
-        (f"parallel{WORKERS}", dict(engine="parallel", engine_workers=WORKERS)),
-        (
-            "parallel_spec",
-            dict(engine="parallel", engine_workers="auto", speculate=True),
-        ),
+        ("parallel0", dict(engine="parallel")),
+        ("parallel_spec", dict(engine="parallel", speculate=True)),
     )
     for name, kwargs in runs:
         start = time.perf_counter()
@@ -137,7 +134,7 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
         }
 
     vector_rate = rates["vector"]
-    parallel_rate = rates[f"parallel{WORKERS}"]
+    parallel_rate = rates["parallel0"]
     spec_rate = rates["parallel_spec"]
     return {
         "ops_per_core": ops_per_core,
@@ -161,11 +158,12 @@ def run_report(smoke: bool = False, ops: int | None = None) -> dict:
     payload = {
         "benchmark": "weak_scaling",
         "mode": "smoke" if smoke else "full",
+        "commit": git_commit(),
+        "src_sha256": source_digest(),
         "workload": WORKLOAD,
         "kind": KIND.value,
         "ratio": RATIO,
         "seed": SEED,
-        "workers": WORKERS,
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "sizes": {
@@ -195,7 +193,7 @@ def test_weak_scaling(benchmark):
     Host-independent claims: every size produced positive rates and
     bit-identical results (speculation included), hierarchical storage
     per core shrinks relative to the full bit vector as the machine
-    grows, the conservative parallel engine (workers=2) beats the serial
+    grows, the conservative parallel engine (parallel0) beats the serial
     vector engine at 256 cores, and the speculative engine holds at least
     parity at 1024 cores — the crossover acceptance criterion.
     """
@@ -257,7 +255,7 @@ def main(argv=None) -> int:
             print(
                 f"  {num_cores:>5} cores:"
                 f"  vector {rates['vector']:>12,.0f} acc/s"
-                f"  parallel(w={WORKERS}) {rates[f'parallel{WORKERS}']:>12,.0f}"
+                f"  parallel {rates['parallel0']:>12,.0f}"
                 f"  ({row['parallel_speedup']:.2f}x)"
                 f"  spec {rates['parallel_spec']:>12,.0f}"
                 f"  ({row['speculative_speedup']:.2f}x)"

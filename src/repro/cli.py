@@ -181,9 +181,7 @@ def cmd_run(args: argparse.Namespace) -> int:
         # Engine-selected path; falls back to the interpreter
         # transparently when the config is outside the flat model.
         result = run_trace(
-            config, trace, engine=args.engine,
-            epoch_ops=args.epoch_batch, engine_workers=args.engine_workers,
-            speculate=args.speculate,
+            config, trace, engine=args.engine, speculate=args.speculate
         )
     else:
         result = Simulator(
@@ -268,9 +266,7 @@ def cmd_replay(args: argparse.Namespace) -> int:
     observer = _attach_observer(system, args)
     if args.engine != "interp" and observer is None and not args.warmup:
         result = run_trace(
-            config, trace, engine=args.engine,
-            epoch_ops=args.epoch_batch, engine_workers=args.engine_workers,
-            speculate=args.speculate,
+            config, trace, engine=args.engine, speculate=args.speculate
         )
     else:
         result = Simulator(
@@ -376,7 +372,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
     *engines*: every program replays on the interpreter, on the vector
     engine (:mod:`repro.sim.vector`) in flat program order, and on the
     parallel run-length batching engine (:mod:`repro.sim.parallel`) as a
-    full per-core interleave at several scan-worker counts, over the
+    full per-core interleave with speculation off and on, over the
     flat-capable organizations — all captures must agree bit-for-bit,
     statistics included.
     """
@@ -657,17 +653,6 @@ def build_parser() -> argparse.ArgumentParser:
              "back when unsupported)",
     )
     run.add_argument(
-        "--epoch-batch", type=int, default=0, metavar="N",
-        help="fast-engine batch size: decode-epoch ops (vector) or "
-             "scan-window ops (parallel); 0 = engine default",
-    )
-    run.add_argument(
-        "--engine-workers", default="auto", metavar="N",
-        help="scan worker processes for the parallel engine: an integer "
-             "(0/1 = scan in-process) or 'auto' to use workers only when "
-             "the host has spare CPUs; results identical for any count",
-    )
-    run.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=False,
         help="parallel engine: optimistic warp + replay past the "
              "conservative horizon (results stay bit-identical)",
@@ -720,15 +705,6 @@ def build_parser() -> argparse.ArgumentParser:
         "--engine", default="interp", choices=["interp", "vector", "parallel"],
         help="execution engine (vector = flat table-driven engine, "
              "parallel = run-length batching engine)",
-    )
-    replay.add_argument(
-        "--epoch-batch", type=int, default=0, metavar="N",
-        help="fast-engine batch size in ops (0 = engine default)",
-    )
-    replay.add_argument(
-        "--engine-workers", default="auto", metavar="N",
-        help="scan worker processes for the parallel engine: an integer "
-             "or 'auto' (workers only when the host has spare CPUs)",
     )
     replay.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=False,

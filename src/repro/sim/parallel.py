@@ -3,7 +3,7 @@
 The third execution engine for the same simulated machine, built for the
 regime the paper actually argues about — hundreds to a thousand cores —
 where the serial engines' per-operation Python dispatch is the wall.  It
-layers five mechanisms over the flat state of :mod:`repro.sim.vector`:
+layers four mechanisms over the flat state of :mod:`repro.sim.vector`:
 
 1. **Numpy-native streams and snapshots.**  Each core's packed stream is
    held as numpy block/write arrays end to end (decoded once by
@@ -23,16 +23,7 @@ layers five mechanisms over the flat state of :mod:`repro.sim.vector`:
    rare run-enders and short runs take the scalar inline path of
    :class:`~repro.sim.vector._FlatMachine`.
 
-3. **Parallel scan workers over shared memory.**  With ``workers >= 2``
-   the classification scans are dispatched to worker processes that read
-   the streams from ``multiprocessing.shared_memory`` segments, one
-   epoch-sized window ahead of the interleave loop.  A scan is a pure
-   function of (stream slice, residency snapshot), and every snapshot is
-   taken at a deterministic point of the serial commit loop, so results
-   are **bit-identical for any worker count** — workers move scan work off
-   the critical path, they never change what is computed.
-
-4. **Optimistic warp + replay (``speculate=True``).**  The conservative
+3. **Optimistic warp + replay (``speculate=True``).**  The conservative
    warp only commits hits provably ordered before every other core's
    next-event lower bound, so one cold corner core clamps the whole
    machine during staggered warmup.  The speculation layer warps a
@@ -52,11 +43,11 @@ layers five mechanisms over the flat state of :mod:`repro.sim.vector`:
    program-order suffix of their core (the global serial front is
    non-decreasing, and everything ordered before an event is flushed
    first), which is what makes chunk-granular undo sound.  Results stay
-   bit-identical to the interpreter for every organization, worker
-   count, and window size — speculation moves *when* work is applied,
-   never *what* is computed.
+   bit-identical to the interpreter for every organization and window
+   size — speculation moves *when* work is applied, never *what* is
+   computed.
 
-5. **Per-bank clock decoupling.**  Parked cores publish not just a
+4. **Per-bank clock decoupling.**  Parked cores publish not just a
    next-event lower bound but the *home bank* of the predicted
    run-ending block, into per-bank lazy-deletion heaps.  A speculative
    chunk consults only the heaps of the banks its own blocks map to and
@@ -88,7 +79,6 @@ interpreter and vector engines for every supported configuration
 from __future__ import annotations
 
 import heapq
-import os
 from typing import Dict, List, Optional, Tuple, Union
 
 import numpy as np
@@ -129,47 +119,23 @@ _RESCAN_HITS = 48
 #: A practically-infinite op budget (no run is longer than a stream).
 _NO_YIELD = 1 << 62
 
-#: Workers a ``"auto"`` engine_workers setting targets when the host has
-#: spare CPUs for them.
-_AUTO_WORKERS = 2
-
 
 def resolve_engine_workers(value: Union[int, str, None]) -> int:
-    """Resolve an ``engine_workers`` setting to a concrete worker count.
+    """Validate a legacy ``engine_workers`` setting; the answer is always 0.
 
-    ``"auto"`` resolves to :data:`_AUTO_WORKERS` scan workers when the
-    host has that many CPUs left over for them (``cpu_count() - 1 >=
-    workers``) and to 0 otherwise — on a 1-CPU host the scan pool only
-    adds scheduling pressure to the commit loop it is trying to feed, and
-    BENCH_scaling.json showed ``workers=2`` losing to ``workers=0``
-    there.  Explicit integers (and integer strings) are honored
-    unchanged; results are bit-identical for any worker count, so this
-    only ever changes speed.
+    The engine's forked scan-worker pool was removed because it never beat
+    inline classification (docs/PERFORMANCE.md).  ``None``, ``0``, ``1`` and
+    ``"auto"`` all mean "classify inline" and resolve to 0; any other value
+    asks for workers that no longer exist and raises instead of being
+    silently ignored.
     """
-    if value is None:
+    if value is None or value == "auto":
         return 0
-    if isinstance(value, bool):
-        raise TraceError("engine_workers must be an integer or 'auto'")
-    if isinstance(value, int):
-        if value < 0:
-            raise TraceError("workers must be non-negative")
-        return value
-    if isinstance(value, str):
-        text = value.strip().lower()
-        if text == "auto":
-            spare = (os.cpu_count() or 1) - 1
-            return _AUTO_WORKERS if spare >= _AUTO_WORKERS else 0
-        try:
-            count = int(text)
-        except ValueError:
-            raise TraceError(
-                f"engine_workers must be an integer or 'auto', got {value!r}"
-            ) from None
-        if count < 0:
-            raise TraceError("workers must be non-negative")
-        return count
+    if type(value) is int and value in (0, 1):
+        return 0
     raise TraceError(
-        f"engine_workers must be an integer or 'auto', got {value!r}"
+        f"engine_workers={value!r}: the parallel engine's scan workers were "
+        "removed; only None, 0, 1 or 'auto' (all meaning inline) are accepted"
     )
 
 
@@ -214,8 +180,8 @@ def _classify(
     """Positions (relative to the window) of the run-ending operations.
 
     An op ends a hit run iff its block is not in the residency snapshot or
-    it writes a line the snapshot holds SHARED/OWNED.  Pure function —
-    callable from the parent or a scan worker.
+    it writes a line the snapshot holds SHARED/OWNED.  Pure function of
+    the window and the snapshot.
     """
     if res_sorted.size == 0:
         return np.arange(blks.size, dtype=np.int64)
@@ -229,146 +195,15 @@ def _classify(
     return np.flatnonzero(ender).astype(np.int64)
 
 
-def _scan_worker(
-    shm_blk_name: str,
-    shm_wr_name: str,
-    offsets: List[Tuple[int, int]],
-    req_q,
-    rep_q,
-) -> None:
-    """Worker loop: classify windows of the shared streams on request.
-
-    Requests are ``(core, gen, start, stop, res_bytes, st_bytes)``; replies
-    are ``(core, gen, ender_positions_bytes)`` — ``gen`` is a parent-side
-    sequence number so a reply can never be mistaken for a different
-    request that happens to share its window start.  ``None`` shuts the
-    worker down.  Streams live in the named shared-memory segments; only
-    the tiny residency snapshot rides in each request.
-    """
-    from multiprocessing import shared_memory
-
-    shm_b = shared_memory.SharedMemory(name=shm_blk_name)
-    shm_w = shared_memory.SharedMemory(name=shm_wr_name)
-    try:
-        views: List[Tuple[np.ndarray, np.ndarray]] = []
-        for off, ln in offsets:
-            views.append(
-                (
-                    np.ndarray(
-                        (ln,), dtype=np.int64, buffer=shm_b.buf, offset=off * 8
-                    ),
-                    np.ndarray(
-                        (ln,), dtype=np.uint8, buffer=shm_w.buf, offset=off
-                    ),
-                )
-            )
-        while True:
-            req = req_q.get()
-            if req is None:
-                break
-            core, gen, start, stop, res_bytes, st_bytes = req
-            blks, wr = views[core]
-            rel = _classify(
-                blks[start:stop],
-                wr[start:stop],
-                np.frombuffer(res_bytes, dtype=np.int64),
-                np.frombuffer(st_bytes, dtype=np.int8),
-            )
-            rep_q.put((core, gen, rel.tobytes()))
-    finally:
-        shm_b.close()
-        shm_w.close()
-
-
-class _ScanPool:
-    """Scan workers over shared-memory copies of the per-core streams."""
-
-    def __init__(
-        self,
-        workers: int,
-        blk_arrs: List[Optional[np.ndarray]],
-        wr_arrs: List[Optional[np.ndarray]],
-    ) -> None:
-        import multiprocessing as mp
-        from multiprocessing import shared_memory
-
-        try:
-            ctx = mp.get_context("fork")
-        except ValueError:  # pragma: no cover - non-POSIX fallback
-            ctx = mp.get_context("spawn")
-        total_words = sum(int(a.size) for a in blk_arrs if a is not None)
-        self._shm_blk = shared_memory.SharedMemory(
-            create=True, size=max(8, total_words * 8)
-        )
-        self._shm_wr = shared_memory.SharedMemory(
-            create=True, size=max(1, total_words)
-        )
-        offsets: List[Tuple[int, int]] = []
-        off = 0
-        blk_all = np.ndarray(
-            (total_words,), dtype=np.int64, buffer=self._shm_blk.buf
-        )
-        wr_all = np.ndarray(
-            (total_words,), dtype=np.uint8, buffer=self._shm_wr.buf
-        )
-        for blks, wr in zip(blk_arrs, wr_arrs):
-            if blks is None:
-                offsets.append((0, 0))
-                continue
-            ln = int(blks.size)
-            blk_all[off : off + ln] = blks
-            wr_all[off : off + ln] = wr
-            offsets.append((off, ln))
-            off += ln
-        # Full Queues, not SimpleQueues: their feeder thread makes parent
-        # puts non-blocking, so a burst of prefetch requests can never
-        # stall the commit loop behind a full pipe on a busy host.
-        self.req_q = ctx.Queue()
-        self.rep_q = ctx.Queue()
-        self.procs = [
-            ctx.Process(
-                target=_scan_worker,
-                args=(
-                    self._shm_blk.name,
-                    self._shm_wr.name,
-                    offsets,
-                    self.req_q,
-                    self.rep_q,
-                ),
-                daemon=True,
-            )
-            for _ in range(workers)
-        ]
-        for p in self.procs:
-            p.start()
-
-    def close(self) -> None:
-        for _ in self.procs:
-            self.req_q.put(None)
-        for p in self.procs:
-            p.join(timeout=10)
-            if p.is_alive():  # pragma: no cover - defensive
-                p.terminate()
-                p.join(timeout=5)
-        for q in (self.req_q, self.rep_q):
-            q.cancel_join_thread()
-            q.close()
-        self._shm_blk.close()
-        self._shm_wr.close()
-        self._shm_blk.unlink()
-        self._shm_wr.unlink()
-
-
 class ParallelEngine:
-    """Runs one PackedTrace with run-length batching and scan workers.
+    """Runs one PackedTrace with run-length batching and bulk commits.
 
-    ``workers=0`` (or 1) classifies inline in the parent — the bulk-commit
-    fast path alone is the dominant win on few-CPU hosts; ``workers >= 2``
-    adds the shared-memory scan pool; ``workers="auto"`` picks per
-    :func:`resolve_engine_workers`.  ``epoch_ops`` is the scan-window
-    size (results are identical for any value — pinned by tests).
+    ``epoch_ops`` is the scan-window size: how many ops ahead of a core's
+    cursor one classification pass covers.  Results are identical for any
+    value (pinned by tests); it is a constructor argument only so tests
+    can exercise tiny windows.
 
-    ``speculate=True`` turns on optimistic warp + replay (mechanism 4 of
+    ``speculate=True`` turns on optimistic warp + replay (mechanism 3 of
     the module docstring) with per-bank horizon decoupling; ``spec_min``
     is the smallest classified run a speculative chunk will claim
     (defaults to the conservative warp threshold; the differential
@@ -384,7 +219,6 @@ class ParallelEngine:
         tables: Optional[L1Tables] = None,
         epoch_ops: int = DEFAULT_EPOCH_OPS,
         sample_interval: int = 4096,
-        workers: Union[int, str] = 0,
         speculate: bool = False,
         spec_min: Optional[int] = None,
     ) -> None:
@@ -401,7 +235,6 @@ class ParallelEngine:
         self.tables = tables
         self.epoch_ops = epoch_ops
         self.sample_interval = sample_interval
-        self.workers = resolve_engine_workers(workers)
         self.speculate = bool(speculate)
         self.spec_min = _WARP_MIN if spec_min is None else spec_min
         # Fault-injection hook for the undo-log differential: when set,
@@ -409,6 +242,19 @@ class ParallelEngine:
         self._corrupt_flush = False
         self.heap_stats: Dict[str, int] = {}
         self.spec_stats: Dict[str, int] = {}
+
+    # -- scan management ---------------------------------------------------
+
+    @staticmethod
+    def _snapshot(lmap: Dict[int, list]) -> Tuple[np.ndarray, np.ndarray]:
+        """Sorted (blocks, states) arrays of one core's L1 residency."""
+        n_res = len(lmap)
+        res = np.fromiter(lmap.keys(), dtype=np.int64, count=n_res)
+        sts = np.fromiter(
+            (rec[0] for rec in lmap.values()), dtype=np.int8, count=n_res
+        )
+        order = np.argsort(res)
+        return res[order], sts[order]
 
     def run(self, trace) -> SimulationResult:
         """Execute the whole trace; bit-identical to the serial engines."""
@@ -429,41 +275,6 @@ class ParallelEngine:
         # Streams as numpy block/write arrays, end to end.
         blk_arrs, wr_arrs, writes_total = trace.numpy_streams(packshift)
 
-        pool: Optional[_ScanPool] = None
-        if self.workers >= 2:
-            pool = _ScanPool(self.workers, blk_arrs, wr_arrs)
-        try:
-            return self._run_loop(
-                m, trace, blk_arrs, wr_arrs, writes_total, pool, dirty
-            )
-        finally:
-            if pool is not None:
-                pool.close()
-
-    # -- scan management ---------------------------------------------------
-
-    @staticmethod
-    def _snapshot(lmap: Dict[int, list]) -> Tuple[np.ndarray, np.ndarray]:
-        """Sorted (blocks, states) arrays of one core's L1 residency."""
-        n_res = len(lmap)
-        res = np.fromiter(lmap.keys(), dtype=np.int64, count=n_res)
-        sts = np.fromiter(
-            (rec[0] for rec in lmap.values()), dtype=np.int8, count=n_res
-        )
-        order = np.argsort(res)
-        return res[order], sts[order]
-
-    def _run_loop(
-        self,
-        m: _FlatMachine,
-        trace: PackedTrace,
-        blk_arrs: List[Optional[np.ndarray]],
-        wr_arrs: List[Optional[np.ndarray]],
-        writes_total: int,
-        pool: Optional[_ScanPool],
-        dirty: set,
-    ) -> SimulationResult:
-        ncores = trace.num_cores
         totals = [
             0 if blk_arrs[core] is None else int(blk_arrs[core].size)
             for core in range(ncores)
@@ -475,7 +286,6 @@ class ParallelEngine:
         next_sample = sample_interval
         processed = 0
         epoch = self.epoch_ops
-        touched = m.touched
 
         # Per-core scan state: a window [base, limit) classified against a
         # snapshot, its ender positions (a sorted Python list consumed
@@ -486,17 +296,6 @@ class ParallelEngine:
         scan_enders: List[list] = [[] for _ in range(ncores)]
         scan_eptr = [0] * ncores
         scan_tpos = [0] * ncores
-        # Prefetch bookkeeping (workers only).  At most one request is in
-        # flight per core — ``inflight[core]`` holds its generation number
-        # until the reply lands, ``expected[core]`` the (gen, start, stop,
-        # tpos) of the window the core still wants (None once obsolete),
-        # and ``pending`` buffers matched replies until consumed.  The
-        # scan choice (prefetched vs inline) can vary with reply timing,
-        # but every scan is exact-after-revalidation, so results do not.
-        inflight: List[Optional[int]] = [None] * ncores
-        expected: List[Optional[Tuple[int, int, int, int]]] = [None] * ncores
-        pending: Dict[Tuple[int, int], bytes] = {}
-        gen_counter = 0
 
         act = m.act
         fixed = m.fixed
@@ -505,84 +304,26 @@ class ParallelEngine:
         miss = m._miss
         upgrade = m._upgrade
 
-        def take_reply(item: Tuple[int, int, bytes]) -> None:
-            rcore, rgen, rbytes = item
-            if inflight[rcore] == rgen:
-                inflight[rcore] = None
-            rexp = expected[rcore]
-            if rexp is not None and rexp[0] == rgen:
-                pending[(rcore, rgen)] = rbytes
-            # else: the window was truncated or re-scanned inline — drop.
+        def scan(core: int, cur: int) -> None:
+            """Classify the window ahead against the live residency.
 
-        def drain_replies() -> None:
-            import queue as _queue
-
-            while True:
-                try:
-                    item = pool.rep_q.get_nowait()
-                except _queue.Empty:
-                    return
-                take_reply(item)
-
-        def issue_prefetch(core: int, start: int) -> None:
-            nonlocal gen_counter
-            if pool is None or start >= totals[core]:
-                expected[core] = None
-                return
-            if inflight[core] is not None:
-                # Previous request still unconsumed: orphan it (its reply
-                # clears the slot on arrival) instead of flooding the
-                # queue with requests for every truncated window.
-                expected[core] = None
-                return
-            stop = min(start + epoch, totals[core])
+            Called when a core's window is exhausted, and when a predicted
+            run-ender turns out to be a plain hit — the tell-tale that the
+            snapshot predates this core's recent fills and the stale scan
+            would otherwise clamp every warp.
+            """
+            stop = min(cur + epoch, totals[core])
+            scan_tpos[core] = len(touched[core])
             res_sorted, st_sorted = self._snapshot(m.l1maps[core])
-            gen_counter += 1
-            pool.req_q.put(
-                (
-                    core,
-                    gen_counter,
-                    start,
-                    stop,
-                    res_sorted.tobytes(),
-                    st_sorted.tobytes(),
-                )
+            rel = _classify(
+                blk_arrs[core][cur:stop],
+                wr_arrs[core][cur:stop],
+                res_sorted,
+                st_sorted,
             )
-            inflight[core] = gen_counter
-            expected[core] = (gen_counter, start, stop, len(touched[core]))
-
-        def install_scan(core: int, cur: int) -> None:
-            total = totals[core]
-            stop = min(cur + epoch, total)
-            rel = None
-            if pool is not None:
-                drain_replies()
-                exp = expected[core]
-                if exp is not None and exp[1] == cur:
-                    rbytes = pending.pop((core, exp[0]), None)
-                    if rbytes is not None:
-                        rel = np.frombuffer(rbytes, dtype=np.int64)
-                        stop = exp[2]
-                        scan_tpos[core] = exp[3]
-                    # Consumed, or orphaned: never block on a worker — on
-                    # a loaded host the reply can be arbitrarily late and
-                    # the inline scan is cheap.  A late reply is dropped
-                    # by take_reply once ``expected`` is cleared.
-                    expected[core] = None
-            if rel is None:
-                # Inline scan (no pool, or prefetch not ready).
-                scan_tpos[core] = len(touched[core])
-                res_sorted, st_sorted = self._snapshot(m.l1maps[core])
-                rel = _classify(
-                    blk_arrs[core][cur:stop],
-                    wr_arrs[core][cur:stop],
-                    res_sorted,
-                    st_sorted,
-                )
             scan_enders[core] = (rel + cur).tolist()
             scan_eptr[core] = 0
             scan_limit[core] = stop
-            issue_prefetch(core, stop)
 
         def revalidate(core: int, cur: int) -> None:
             """Fold slow-path interference since the snapshot into the scan.
@@ -606,27 +347,6 @@ class ParallelEngine:
                     scan_eptr[core] = 0
                     scan_limit[core] = first + 1
                 scan_tpos[core] = len(tl)
-
-        def rescan(core: int, cur: int) -> None:
-            """Reclassify the window ahead against the live residency.
-
-            Called when a predicted run-ender turns out to be a plain hit
-            — the tell-tale that the snapshot predates this core's recent
-            fills and the stale scan would otherwise clamp every warp.
-            """
-            stop = min(cur + epoch, totals[core])
-            scan_tpos[core] = len(touched[core])
-            res_sorted, st_sorted = self._snapshot(m.l1maps[core])
-            rel = _classify(
-                blk_arrs[core][cur:stop],
-                wr_arrs[core][cur:stop],
-                res_sorted,
-                st_sorted,
-            )
-            scan_enders[core] = (rel + cur).tolist()
-            scan_eptr[core] = 0
-            scan_limit[core] = stop
-
 
         # ``ne[c]`` is each parked core's next-event bound.  A core may
         # bulk-commit hits only while they order strictly before every
@@ -910,7 +630,7 @@ class ParallelEngine:
                     # -- warp check: can a run of guaranteed hits commit
                     # past the other cores' parked clocks in one batch? ---
                     if cur >= scan_limit[core]:
-                        install_scan(core, cur)
+                        scan(core, cur)
                     if len(touched[core]) > scan_tpos[core]:
                         revalidate(core, cur)
                     # Next run-ender at/after ``cur`` (inlined: cursors
@@ -968,7 +688,7 @@ class ParallelEngine:
                             and act[(prec[0] << 1) | int(wrarr[next_ender])]
                             < 3
                         ):
-                            rescan(core, cur)
+                            scan(core, cur)
                             continue
                     if k >= _WARP_MIN:
                         # -- bulk-commit k guaranteed hits ----------------

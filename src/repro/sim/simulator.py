@@ -251,9 +251,8 @@ def run_trace(
     system: Optional[CoherentSystem] = None,
     observer=None,
     engine: str = "interp",
-    epoch_ops: int = 0,
-    engine_workers: Union[int, str] = "auto",
     speculate: bool = False,
+    engine_workers: Union[int, str, None] = None,
 ) -> SimulationResult:
     """Convenience one-shot: build the system (unless given) and run.
 
@@ -263,28 +262,32 @@ def run_trace(
     the same ``system`` when one is passed).
 
     ``engine`` selects the execution engine: ``"interp"`` (the controller
-    interpreter above), ``"vector"`` (the flat table-driven engine of
-    :mod:`repro.sim.vector`), or ``"parallel"`` (the run-length batching
-    engine of :mod:`repro.sim.parallel`; ``engine_workers`` sets its scan
-    worker count — an integer, or ``"auto"`` to use workers only when the
-    host has spare CPUs for them (see
-    :func:`repro.sim.parallel.resolve_engine_workers`) — and ``epoch_ops``
-    its scan-window / decode-batch size for both fast engines;
+    interpreter above, the reference semantics), ``"vector"`` (the flat
+    table-driven engine of :mod:`repro.sim.vector`) or ``"parallel"`` (the
+    run-length batching engine of :mod:`repro.sim.parallel`).
     ``speculate`` turns on the parallel engine's optimistic warp + replay
-    layer).  All three produce bit-identical results for any worker
-    count, window size, and speculation setting; ``"vector"`` and
-    ``"parallel"`` fall back to the interpreter transparently when the
-    configuration is outside the flat model (see
+    layer.  Every engine and speculation setting produces bit-identical
+    results.  ``"vector"`` and ``"parallel"`` fall back to the interpreter
+    when the configuration is outside the flat model (see
     :func:`repro.sim.vector.vector_supports`), when a pre-built ``system``
     or ``observer`` needs the live objects, or when the trace cannot be
-    packed.  ``result.engine`` records which engine actually ran.
+    packed; ``result.engine`` records which engine actually ran.
+
+    ``engine_workers`` is a legacy setting kept for existing callers: it
+    accepts only values meaning "no scan workers" and raises
+    :class:`TraceError` for any other (see
+    :func:`repro.sim.parallel.resolve_engine_workers`).
     """
     if engine not in ("interp", "vector", "parallel"):
         raise TraceError(
             f"unknown engine {engine!r} (expected 'interp', 'vector' or 'parallel')"
         )
+    if engine_workers is not None:
+        from .parallel import resolve_engine_workers
+
+        resolve_engine_workers(engine_workers)
     if engine in ("vector", "parallel") and system is None and observer is None:
-        from .vector import DEFAULT_EPOCH_OPS, VectorEngine, vector_supports
+        from .vector import VectorEngine, vector_supports
 
         if vector_supports(config) is None:
             packed: Optional[PackedTrace]
@@ -296,17 +299,11 @@ def run_trace(
                 except TraceError:
                     packed = None  # e.g. addresses beyond the packed range
             if packed is not None:
-                batch = epoch_ops if epoch_ops else DEFAULT_EPOCH_OPS
                 if engine == "parallel":
                     from .parallel import ParallelEngine
 
-                    return ParallelEngine(
-                        config,
-                        epoch_ops=batch,
-                        workers=engine_workers,
-                        speculate=speculate,
-                    ).run(packed)
-                return VectorEngine(config, epoch_ops=batch).run(packed)
+                    return ParallelEngine(config, speculate=speculate).run(packed)
+                return VectorEngine(config).run(packed)
     if system is None:
         system = build_system(config)
     return Simulator(system, observer=observer).run(trace)

@@ -1865,8 +1865,10 @@ class VectorEngine:
     """Runs one PackedTrace on flat state with table dispatch.
 
     ``tables`` injects alternative transition tables (the fuzz differ's
-    fault hook); ``epoch_ops`` bounds the per-batch decode (results are
-    identical for any epoch size — the property tests pin this).
+    fault hook); ``epoch_ops`` bounds the per-batch decode.  Results are
+    identical for any epoch size (the property tests pin this), so it is
+    a constructor argument only, for those tests; ``run_trace`` always
+    uses the default.
     """
 
     def __init__(

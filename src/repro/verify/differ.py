@@ -50,8 +50,8 @@ transition tables to prove this axis catches table-generation bugs.
 A third axis, :func:`run_parallel_differential`, regroups the flat
 program into per-core streams and runs the full timestamp-ordered
 interleave end-to-end on the serial interpreter and on the run-length
-batching engine (:mod:`repro.sim.parallel`) at several scan-worker
-counts; the complete simulation results must match bit-for-bit.
+batching engine (:mod:`repro.sim.parallel`) with speculation off and
+on; the complete simulation results must match bit-for-bit.
 """
 
 from __future__ import annotations
@@ -803,7 +803,6 @@ def run_parallel_differential(
     kinds: Sequence[DirectoryKind] = ENGINE_KINDS,
     options: RunOptions = RunOptions(),
     fault: Optional[FaultSpec] = None,
-    workers: Sequence[int] = (0, 2),
     epoch_ops: int = 96,
     speculate: Sequence[bool] = (False, True),
     spec_min: int = 4,
@@ -815,8 +814,7 @@ def run_parallel_differential(
     the program's ops are regrouped into per-core streams (per-core order
     preserved) and the whole trace runs end-to-end on the serial
     interpreter and on :class:`repro.sim.parallel.ParallelEngine` — once
-    per ``workers`` × ``speculate`` combination — over the same
-    configuration.  The complete
+    per ``speculate`` setting — over the same configuration.  The complete
     :class:`~repro.sim.results.SimulationResult` must agree bit-for-bit:
     per-core cycles, the flattened statistics tree and the
     effective-tracking samples.  ``epoch_ops`` is deliberately tiny so a
@@ -850,18 +848,13 @@ def run_parallel_differential(
         tables = None
         if fault is not None and not undo_fault:
             tables = fault.inject(l1_tables(config.protocol))
-        combos = [(c, s) for c in workers for s in speculate]
-        for count, spec in combos:
-            label = (
-                f"{kind.value} (workers={count},"
-                f" speculate={'on' if spec else 'off'})"
-            )
+        for spec in speculate:
+            label = f"{kind.value} (speculate={'on' if spec else 'off'})"
             try:
                 engine = ParallelEngine(
                     config,
                     tables=tables,
                     epoch_ops=epoch_ops,
-                    workers=count,
                     speculate=spec,
                     spec_min=spec_min if spec else None,
                 )

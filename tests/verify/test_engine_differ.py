@@ -186,6 +186,21 @@ class TestParallelSpeculationAxis:
         assert all(d.category.startswith("parallel-") for d in divergences)
         assert all("speculate=on" in d.detail for d in divergences)
 
+    def test_table_corrupt_caught_with_speculation_off_and_on(self):
+        from repro.verify import run_parallel_differential
+
+        options = RunOptions()
+        program = program_for("mixed", options, ops=300)
+        divergences = run_parallel_differential(
+            program,
+            kinds=[DirectoryKind.STASH],
+            options=options,
+            fault=ENGINE_FAULTS["table-corrupt"],
+        )
+        assert all(d.category.startswith("parallel-") for d in divergences)
+        labels = {d.detail.split(":", 1)[0] for d in divergences}
+        assert labels == {"stash (speculate=off)", "stash (speculate=on)"}
+
     def test_undo_corrupt_inject_leaves_tables_clean(self):
         tables = l1_tables(CoherenceProtocol.MESI)
         assert ENGINE_FAULTS["undo-corrupt"].inject(tables) == tables

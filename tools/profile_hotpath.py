@@ -54,7 +54,6 @@ def profile_run(
     seed: int,
     num_cores: int = 0,
     engine: str = "interp",
-    engine_workers: int = 0,
 ) -> cProfile.Profile:
     """Profile one run_trace invocation; returns the filled profiler."""
     if num_cores:
@@ -67,9 +66,7 @@ def profile_run(
     )
     profiler = cProfile.Profile()
     profiler.enable()
-    run_trace(
-        config, trace, engine=engine, engine_workers=engine_workers
-    )
+    run_trace(config, trace, engine=engine)
     profiler.disable()
     return profiler
 
@@ -91,10 +88,6 @@ def main(argv=None) -> int:
         choices=["interp", "vector", "parallel"],
         help="execution engine to profile",
     )
-    parser.add_argument(
-        "--engine-workers", type=int, default=0,
-        help="scan worker processes for the parallel engine",
-    )
     parser.add_argument("--top", type=int, default=25, help="rows to print")
     parser.add_argument(
         "--sort", default="tottime", choices=["tottime", "cumtime", "ncalls"],
@@ -112,7 +105,6 @@ def main(argv=None) -> int:
     profiler = profile_run(
         args.kind, args.ops, args.ratio, args.workload, args.seed,
         num_cores=args.cores, engine=args.engine,
-        engine_workers=args.engine_workers,
     )
 
     stream = io.StringIO()
