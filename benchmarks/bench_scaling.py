@@ -50,7 +50,6 @@ from repro.analysis.experiments import make_config
 from repro.common.config import DirectoryKind, SharerFormat
 from repro.energy.area import storage_of
 from repro.sim.simulator import run_trace
-from repro.sim.trace import PackedTrace
 from repro.sim.vector import vector_supports
 from repro.workloads.suite import build_workload
 
@@ -87,11 +86,9 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
     """One weak-scaling point: both engines, identity-checked, plus storage."""
     config = make_config(KIND, ratio=RATIO, num_cores=num_cores, seed=SEED)
     assert vector_supports(config) is None, num_cores
-    trace = PackedTrace.from_trace(
-        build_workload(
-            WORKLOAD, num_cores, ops_per_core,
-            seed=SEED, block_bytes=config.block_bytes,
-        )
+    trace = build_workload(
+        WORKLOAD, num_cores, ops_per_core,
+        seed=SEED, block_bytes=config.block_bytes,
     )
     total = trace.total_ops()
 

@@ -124,10 +124,10 @@ def flat_kinds() -> tuple:
 
 def _packed(ops_per_core: int) -> PackedTrace:
     config = make_config(DirectoryKind.SPARSE, ratio=RATIO)
-    return PackedTrace.from_trace(build_workload(
+    return build_workload(
         WORKLOAD, config.num_cores, ops_per_core,
         seed=SEED, block_bytes=config.block_bytes,
-    ))
+    )
 
 
 def _rate(kind: DirectoryKind, packed: PackedTrace, engine: str) -> float:

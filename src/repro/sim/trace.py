@@ -8,13 +8,15 @@ decimal) so traces from external tools can be replayed too.
 
 Two in-memory representations exist:
 
-* :class:`Trace` — per-core lists of ``(addr, is_write)`` tuples; the
-  construction-friendly format every generator builds.
 * :class:`PackedTrace` — per-core flat ``array('Q')`` streams encoding
-  ``(addr << 1) | is_write``; ~5x smaller, picklable as one buffer per
-  core, and what the simulator loop iterates with inline decode.  The
-  sweep engine's trace store (:mod:`repro.workloads.store`) materializes
-  workloads in this form exactly once per (workload, size, seed).
+  ``(addr << 1) | is_write``; ~5x smaller than tuples, picklable as one
+  buffer per core, and what the simulator loop iterates with inline
+  decode.  Every workload generator (:mod:`repro.workloads`) writes this
+  form directly, and the sweep engine's trace store
+  (:mod:`repro.workloads.store`) materializes it exactly once per
+  (workload, size, seed).
+* :class:`Trace` — per-core lists of ``(addr, is_write)`` tuples; kept for
+  CSV replay and for addresses wider than the packed encoding.
 
 Conversion between the two is lossless (``PackedTrace.from_trace`` /
 ``to_trace``); packing rejects addresses that do not fit the 63 usable
@@ -29,6 +31,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, List, Tuple, Union
 
+from ..common.addr import log2_exact
 from ..common.errors import TraceError
 
 #: One operation: (byte_address, is_write).
@@ -151,11 +154,7 @@ class Trace:
 
     def to_file(self, path: Union[str, Path]) -> None:
         """Write the trace as a ``core,addr,rw`` CSV."""
-        with open(path, "w") as handle:
-            handle.write("# core,addr,rw\n")
-            for core, ops in enumerate(self.ops):
-                for addr, is_write in ops:
-                    handle.write(f"{core},{addr:#x},{'W' if is_write else 'R'}\n")
+        _write_csv(path, self.ops)
 
     # -- inspection -------------------------------------------------------------------
 
@@ -181,8 +180,12 @@ class Trace:
         return writes / total
 
     def unique_blocks(self, block_bytes: int) -> int:
-        """Distinct cache blocks the trace touches (single pass)."""
-        shift = block_bytes.bit_length() - 1
+        """Distinct cache blocks the trace touches (single pass).
+
+        ``block_bytes`` must be a power of two
+        (:class:`~repro.common.errors.ConfigError` otherwise).
+        """
+        shift = log2_exact(block_bytes)
         blocks: set = set()
         add = blocks.add
         for ops in self.ops:
@@ -242,8 +245,14 @@ class PackedTrace:
         self.streams[core].append((addr << 1) | (1 if is_write else 0))
 
     @classmethod
-    def from_trace(cls, trace: Trace) -> "PackedTrace":
-        """Pack an unpacked trace (lossless; validates the address range)."""
+    def from_trace(cls, trace: "Union[Trace, PackedTrace]") -> "PackedTrace":
+        """Pack an unpacked trace (lossless; validates the address range).
+
+        A :class:`PackedTrace` argument is returned unchanged, so callers
+        can pack whatever a generator returns without a second pass.
+        """
+        if isinstance(trace, PackedTrace):
+            return trace
         packed = cls(trace.num_cores)
         for core, ops in enumerate(trace.ops):
             stream = packed.streams[core]
@@ -318,6 +327,30 @@ class PackedTrace:
         """Payload size across all cores (8 bytes per operation)."""
         return 8 * self.total_ops()
 
+    def write_fraction(self) -> float:
+        """Fraction of operations that are writes (the words' low bits)."""
+        total = self.total_ops()
+        if total == 0:
+            return 0.0
+        writes = sum(word & 1 for stream in self.streams for word in stream)
+        return writes / total
+
+    def unique_blocks(self, block_bytes: int) -> int:
+        """Distinct cache blocks the trace touches.
+
+        ``block_bytes`` must be a power of two
+        (:class:`~repro.common.errors.ConfigError` otherwise).
+        """
+        packshift = log2_exact(block_bytes) + 1
+        return len({word >> packshift for stream in self.streams for word in stream})
+
+    def to_file(self, path: Union[str, Path]) -> None:
+        """Write the trace as a ``core,addr,rw`` CSV (see :meth:`Trace.to_file`)."""
+        _write_csv(
+            path,
+            (((word >> 1, word & 1) for word in stream) for stream in self.streams),
+        )
+
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, PackedTrace):
             return NotImplemented
@@ -353,3 +386,12 @@ class PackedTrace:
         if not streams:
             raise TraceError("packed trace needs at least one core stream")
         return cls(len(streams), streams)
+
+
+def _write_csv(path: Union[str, Path], ops_by_core: Iterable[Iterable[Op]]) -> None:
+    """The ``core,addr,rw`` CSV both trace forms write."""
+    with open(path, "w") as handle:
+        handle.write("# core,addr,rw\n")
+        for core, ops in enumerate(ops_by_core):
+            for addr, is_write in ops:
+                handle.write(f"{core},{addr:#x},{'W' if is_write else 'R'}\n")

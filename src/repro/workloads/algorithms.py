@@ -12,7 +12,8 @@ every other generator.
 Address-space layout reuses the pattern conventions: per-core private
 regions from :func:`~repro.workloads.patterns._private_base`, shared
 regions from :func:`~repro.workloads.patterns._shared_base`, block
-addresses via the validated ``block_bytes`` shift.
+addresses via the validated ``block_bytes`` shift, packed words
+``(addr << 1) | is_write`` appended straight into per-core streams.
 """
 
 from __future__ import annotations
@@ -20,8 +21,8 @@ from __future__ import annotations
 from ..common.addr import stride_hash
 from ..common.errors import ConfigError
 from ..common.rng import DeterministicRng
-from ..sim.trace import Trace
-from .patterns import _block_shift, _private_base, _shared_base
+from ..sim.trace import PackedTrace
+from .patterns import _block_shift, _check_regions, _private_base, _shared_base
 from .synthetic import SequentialStream, ZipfStream
 
 
@@ -41,7 +42,7 @@ def graph_clustering(
     frontier_frac: float = 0.45,
     label_frac: float = 0.2,
     block_bytes: int = 64,
-) -> Trace:
+) -> PackedTrace:
     """Louvain-style graph clustering (modularity optimization).
 
     Three region roles:
@@ -62,8 +63,13 @@ def graph_clustering(
     _check_frac("label_frac", label_frac)
     if frontier_frac + label_frac > 1:
         raise ConfigError("frontier_frac + label_frac must be <= 1")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    _check_regions(
+        frontier_blocks=frontier_blocks,
+        label_blocks=label_blocks,
+        private_blocks=private_blocks,
+    )
+    trace = PackedTrace(num_cores)
+    wshift = _block_shift(block_bytes) + 1
     frontier_base = _shared_base(num_cores, region=0)
     label_base = _shared_base(num_cores, region=1)
     for core in range(num_cores):
@@ -72,25 +78,24 @@ def graph_clustering(
         labels = ZipfStream(label_blocks, crng.spawn(1), 0.6)
         private = ZipfStream(private_blocks, crng.spawn(2), 0.6)
         base = _private_base(core)
+        emit = trace.streams[core].append
         emitted = 0
         while emitted < ops_per_core:
             draw = crng.random()
             if draw < frontier_frac:
                 # Neighbour-list scan: pure reads of the shared graph.
-                addr = (frontier_base + frontier.next()) << shift
-                trace.append(core, addr, False)
+                emit((frontier_base + frontier.next()) << wshift)
                 emitted += 1
             elif draw < frontier_frac + label_frac:
                 # Commit a move: read the community label, write it back.
-                addr = (label_base + labels.next()) << shift
-                trace.append(core, addr, False)
+                word = (label_base + labels.next()) << wshift
+                emit(word)
                 emitted += 1
                 if emitted < ops_per_core:
-                    trace.append(core, addr, True)
+                    emit(word | 1)
                     emitted += 1
             else:
-                addr = (base + private.next()) << shift
-                trace.append(core, addr, crng.random() < 0.5)
+                emit((base + private.next()) << wshift | (crng.random() < 0.5))
                 emitted += 1
     return trace
 
@@ -105,7 +110,7 @@ def tiled_matmul(
     phase_len: int = 48,
     panel_frac: float = 0.35,
     block_bytes: int = 64,
-) -> Trace:
+) -> PackedTrace:
     """Tiled dense matrix multiply with a systolic tile rotation.
 
     Each phase, core ``k`` produces its output tile (sequential writes to
@@ -119,10 +124,11 @@ def tiled_matmul(
     _check_frac("panel_frac", panel_frac)
     if phase_len < 2:
         raise ConfigError("phase_len must be >= 2")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    _check_regions(tile_blocks=tile_blocks, panel_blocks=panel_blocks)
+    trace = PackedTrace(num_cores)
+    wshift = _block_shift(block_bytes) + 1
     panel_base = _shared_base(num_cores, region=0)
-    barrier_addr = _shared_base(num_cores, region=1) << shift
+    barrier_word = _shared_base(num_cores, region=1) << wshift
     # One tile region per core, after the panel/barrier regions.
     tile_base = [
         _shared_base(num_cores, region=2 + core) for core in range(num_cores)
@@ -134,6 +140,7 @@ def tiled_matmul(
         consume = SequentialStream(tile_blocks)
         own = tile_base[core]
         neighbour = tile_base[(core - 1) % num_cores]
+        emit = trace.streams[core].append
         emitted = 0
         while emitted < ops_per_core:
             budget = min(phase_len, ops_per_core - emitted)
@@ -142,19 +149,16 @@ def tiled_matmul(
             for pos in range(budget - 2 if budget > 2 else budget):
                 draw = crng.random()
                 if draw < panel_frac:
-                    addr = (panel_base + panel.next()) << shift
-                    trace.append(core, addr, False)
+                    emit((panel_base + panel.next()) << wshift)
                 elif draw < panel_frac + (1 - panel_frac) / 2:
-                    addr = (neighbour + consume.next()) << shift
-                    trace.append(core, addr, False)
+                    emit((neighbour + consume.next()) << wshift)
                 else:
-                    addr = (own + produce.next()) << shift
-                    trace.append(core, addr, True)
+                    emit((own + produce.next()) << wshift | 1)
                 emitted += 1
             # Barrier: read the counter, then write the arrival.
             if budget > 2:
-                trace.append(core, barrier_addr, False)
-                trace.append(core, barrier_addr, True)
+                emit(barrier_word)
+                emit(barrier_word | 1)
                 emitted += 2
     return trace
 
@@ -168,7 +172,7 @@ def prime_sieve(
     base_prime_blocks: int = 32,
     read_frac: float = 0.15,
     block_bytes: int = 64,
-) -> Trace:
+) -> PackedTrace:
     """Segmented sieve of Eratosthenes over a shared bitmap.
 
     Core ``k`` crosses off multiples of the ``k``-th odd prime: strided
@@ -181,8 +185,9 @@ def prime_sieve(
     _check_frac("read_frac", read_frac)
     if bitmap_blocks < 2:
         raise ConfigError("bitmap_blocks must be >= 2")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    _check_regions(bitmap_blocks=bitmap_blocks, base_prime_blocks=base_prime_blocks)
+    trace = PackedTrace(num_cores)
+    wshift = _block_shift(block_bytes) + 1
     bitmap_base = _shared_base(num_cores, region=0)
     table_base = _shared_base(num_cores, region=1)
     primes = _odd_primes(num_cores)
@@ -193,13 +198,12 @@ def prime_sieve(
         # Start each core's sweep at its prime (the first composite it
         # owns), like the real segmented sieve.
         pos = stride % bitmap_blocks
+        emit = trace.streams[core].append
         for _ in range(ops_per_core):
             if crng.random() < read_frac:
-                addr = (table_base + table.next()) << shift
-                trace.append(core, addr, False)
+                emit((table_base + table.next()) << wshift)
             else:
-                addr = (bitmap_base + pos) << shift
-                trace.append(core, addr, True)
+                emit((bitmap_base + pos) << wshift | 1)
                 pos = (pos + stride) % bitmap_blocks
     return trace
 
@@ -215,7 +219,7 @@ def union_find(
     compress_frac: float = 0.4,
     private_frac: float = 0.3,
     block_bytes: int = 64,
-) -> Trace:
+) -> PackedTrace:
     """Union-find image segmentation with path compression.
 
     Each find operation walks a parent-pointer chain through the shared
@@ -232,8 +236,9 @@ def union_find(
         raise ConfigError("max_depth must be >= 1")
     if node_blocks < max_depth:
         raise ConfigError("node_blocks must be >= max_depth")
-    trace = Trace(num_cores)
-    shift = _block_shift(block_bytes)
+    _check_regions(node_blocks=node_blocks, root_blocks=root_blocks)
+    trace = PackedTrace(num_cores)
+    wshift = _block_shift(block_bytes) + 1
     node_base = _shared_base(num_cores, region=0)
     root_base = _shared_base(num_cores, region=1)
     for core in range(num_cores):
@@ -242,11 +247,11 @@ def union_find(
         roots = ZipfStream(root_blocks, crng.spawn(1), 0.7)
         private = ZipfStream(128, crng.spawn(2), 0.6)
         base = _private_base(core)
+        emit = trace.streams[core].append
         emitted = 0
         while emitted < ops_per_core:
             if crng.random() < private_frac:
-                addr = (base + private.next()) << shift
-                trace.append(core, addr, crng.random() < 0.3)
+                emit((base + private.next()) << wshift | (crng.random() < 0.3))
                 emitted += 1
                 continue
             # Find: chase parent pointers from a leaf.  The chain is a
@@ -258,23 +263,22 @@ def union_find(
             budget = ops_per_core - emitted
             for _ in range(min(depth, budget)):
                 path.append(node)
-                trace.append(core, (node_base + node) << shift, False)
+                emit((node_base + node) << wshift)
                 emitted += 1
                 node = stride_hash(node, 0x5EED) % node_blocks
             # Union at the root: read it, write the merged rank/parent.
-            root = roots.next()
-            root_addr = (root_base + root) << shift
-            for is_write in (False, True):
+            root_word = (root_base + roots.next()) << wshift
+            for is_write in (0, 1):
                 if emitted >= ops_per_core:
                     break
-                trace.append(core, root_addr, is_write)
+                emit(root_word | is_write)
                 emitted += 1
             # Path compression: rewrite the walked nodes to the root.
             if crng.random() < compress_frac:
                 for node in path:
                     if emitted >= ops_per_core:
                         break
-                    trace.append(core, (node_base + node) << shift, True)
+                    emit((node_base + node) << wshift | 1)
                     emitted += 1
     return trace
 

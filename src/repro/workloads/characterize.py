@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import Dict, List
 
 from ..common.addr import log2_exact
-from ..sim.trace import Trace
+from ..sim.trace import PackedTrace
 
 
 @dataclass
@@ -41,20 +41,20 @@ class TraceProfile:
         return self.sharing_histogram.get(degree, 0) / self.unique_blocks
 
 
-def profile_trace(trace: Trace, block_bytes: int, name: str = "") -> TraceProfile:
-    """Compute the sharing profile of a trace."""
-    shift = log2_exact(block_bytes)
+def profile_trace(trace: PackedTrace, block_bytes: int, name: str = "") -> TraceProfile:
+    """Compute the sharing profile of a packed trace."""
+    packshift = log2_exact(block_bytes) + 1
     touchers: Dict[int, set] = {}
     access_count: Dict[int, int] = {}
     writes = 0
     total = 0
-    for core, ops in enumerate(trace.ops):
-        for addr, is_write in ops:
-            block = addr >> shift
+    for core, stream in enumerate(trace.streams):
+        for word in stream:
+            block = word >> packshift
             touchers.setdefault(block, set()).add(core)
             access_count[block] = access_count.get(block, 0) + 1
-            writes += is_write
-            total += 1
+            writes += word & 1
+        total += len(stream)
 
     histogram: Dict[int, int] = {}
     private_blocks = 0

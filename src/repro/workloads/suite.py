@@ -30,7 +30,7 @@ from typing import Callable, Dict, List
 
 from ..common.errors import ConfigError
 from ..common.rng import DeterministicRng
-from ..sim.trace import Trace
+from ..sim.trace import PackedTrace
 from . import algorithms, patterns
 
 
@@ -40,7 +40,7 @@ class WorkloadSpec:
 
     name: str
     description: str
-    builder: Callable[..., Trace]
+    builder: Callable[..., PackedTrace]
     params: Dict[str, object] = field(default_factory=dict)
 
     def build(
@@ -49,8 +49,8 @@ class WorkloadSpec:
         ops_per_core: int,
         seed: int,
         block_bytes: int = 64,
-    ) -> Trace:
-        """Generate the trace for a concrete system size."""
+    ) -> PackedTrace:
+        """Generate the packed trace for a concrete system size."""
         rng = DeterministicRng(seed)
         return self.builder(
             num_cores,
@@ -61,27 +61,31 @@ class WorkloadSpec:
         )
 
 
-def _mix(num_cores, ops_per_core, rng, *, block_bytes=64) -> Trace:
-    """Four core groups each running a different pattern, merged."""
+def _mix(num_cores, ops_per_core, rng, *, block_bytes=64) -> PackedTrace:
+    """Four core groups each running a different pattern, merged.
+
+    Group ``g`` owns cores ``[g * quarter, (g + 1) * quarter)`` (the last
+    group also takes the remainder) and only those cores are generated.
+    """
     quarter = max(1, num_cores // 4)
-    sub_traces = [
-        patterns.private_working_set(
-            num_cores, ops_per_core, rng.spawn(1), block_bytes=block_bytes
-        ),
-        patterns.shared_read_only(
-            num_cores, ops_per_core, rng.spawn(2), block_bytes=block_bytes
-        ),
-        patterns.producer_consumer(
-            num_cores, ops_per_core, rng.spawn(3), block_bytes=block_bytes
-        ),
-        patterns.migratory(
-            num_cores, ops_per_core, rng.spawn(4), block_bytes=block_bytes
-        ),
+    groups = [
+        patterns.private_working_set,
+        patterns.shared_read_only,
+        patterns.producer_consumer,
+        patterns.migratory,
     ]
-    trace = Trace(num_cores)
-    for core in range(num_cores):
-        source = sub_traces[min(core // quarter, 3)]
-        trace.ops[core] = source.ops[core]
+    trace = PackedTrace(num_cores)
+    for group, builder in enumerate(groups):
+        lo = min(group * quarter, num_cores)
+        hi = num_cores if group == 3 else min(lo + quarter, num_cores)
+        part = builder(
+            num_cores,
+            ops_per_core,
+            rng.spawn(group + 1),
+            block_bytes=block_bytes,
+            cores=range(lo, hi),
+        )
+        trace.streams[lo:hi] = part.streams[lo:hi]
     return trace
 
 
@@ -245,8 +249,8 @@ def build_workload(
     ops_per_core: int,
     seed: int = 1,
     block_bytes: int = 64,
-) -> Trace:
-    """Generate a named suite workload."""
+) -> PackedTrace:
+    """Generate a named suite workload as a :class:`PackedTrace`."""
     try:
         spec = SUITE[name]
     except KeyError:

@@ -24,7 +24,7 @@ OPS = 400
 def test_packed_run_bit_identical(kind):
     config = make_config(kind, 0.25)
     trace = build_workload("mix", config.num_cores, OPS, seed=3)
-    unpacked = run_trace(config, trace)
+    unpacked = run_trace(config, trace.to_trace())
     packed = run_trace(config, PackedTrace.from_trace(trace))
     assert packed.cycles_per_core == unpacked.cycles_per_core
     assert packed.stats == unpacked.stats
@@ -35,7 +35,7 @@ def test_packed_run_identical_across_seeds():
     config = make_config(KINDS[0], 0.5)
     for seed in (1, 2):
         trace = build_workload("canneal-like", config.num_cores, OPS, seed=seed)
-        assert run_trace(config, trace) == run_trace(config, trace.pack())
+        assert run_trace(config, trace.to_trace()) == run_trace(config, trace)
 
 
 def test_packed_run_identical_with_warmup():
@@ -44,6 +44,6 @@ def test_packed_run_identical_with_warmup():
 
     config = make_config(KINDS[3], 0.125)
     trace = build_workload("mix", config.num_cores, OPS, seed=4)
-    a = Simulator(build_system(config), warmup_ops=200).run(trace)
-    b = Simulator(build_system(config), warmup_ops=200).run(trace.pack())
+    a = Simulator(build_system(config), warmup_ops=200).run(trace.to_trace())
+    b = Simulator(build_system(config), warmup_ops=200).run(trace)
     assert a == b

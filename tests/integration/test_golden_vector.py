@@ -59,8 +59,8 @@ def test_vector_run_identical_across_workloads(kind):
     config = make_config(kind, 0.5)
     for workload, seed in (("canneal-like", 1), ("locks-like", 2)):
         trace = build_workload(workload, config.num_cores, OPS, seed=seed)
-        interp = run_trace(config, trace)
-        vector = run_trace(config, trace.pack(), engine="vector")
+        interp = run_trace(config, trace.to_trace())
+        vector = run_trace(config, trace, engine="vector")
         assert vector == interp
         assert vector.engine == "vector"
 

@@ -31,9 +31,9 @@ class TestRoundTrip:
         assert list(packed.streams[1]) == [1, (0x2FC0 << 1)]
 
     def test_workload_trace_round_trips(self):
-        trace = build_workload("mix", 8, 200, seed=5)
-        packed = trace.pack()
-        assert packed.to_trace().ops == trace.ops
+        packed = build_workload("mix", 8, 200, seed=5)
+        trace = packed.to_trace()
+        assert PackedTrace.from_trace(trace) == packed
         assert packed.total_ops() == trace.total_ops()
 
     def test_counts_and_bytes(self):

@@ -2,7 +2,7 @@
 
 import pytest
 
-from repro.common.errors import TraceError
+from repro.common.errors import ConfigError, TraceError
 from repro.sim.trace import Trace, TraceRecord
 
 
@@ -73,6 +73,30 @@ class TestMetrics:
         trace.append(1, 4096, False)
         assert trace.unique_blocks(64) == 2
         assert trace.unique_blocks(4096) == 2  # 0/32 and 4096 split at 4KB too
+
+    def test_unique_blocks_rejects_non_power_of_two(self):
+        # Regression: the shift was block_bytes.bit_length() - 1, so 48-byte
+        # blocks were counted at 32-byte granularity and ops at 0, 40 and
+        # 100 made 3 blocks instead of 2.  Both trace forms now validate
+        # the size with log2_exact.
+        trace = Trace(1)
+        for addr in (0, 40, 100):
+            trace.append(0, addr, False)
+        with pytest.raises(ConfigError):
+            trace.unique_blocks(48)
+        with pytest.raises(ConfigError):
+            trace.pack().unique_blocks(48)
+
+    def test_packed_helpers_agree_with_tuple_helpers(self):
+        trace = Trace(3)
+        for core, addr, is_write in [(0, 0, True), (1, 32, False), (1, 4096, True),
+                                     (2, 8192, False), (2, 8200, False)]:
+            trace.append(core, addr, is_write)
+        packed = trace.pack()
+        assert packed.write_fraction() == trace.write_fraction() == 2 / 5
+        for block_bytes in (64, 4096):
+            assert packed.unique_blocks(block_bytes) == trace.unique_blocks(block_bytes)
+        assert Trace(1).pack().write_fraction() == 0.0
 
 
 class TestFileIO:
@@ -171,7 +195,7 @@ class TestFlatPrograms:
             == [2, 0, 1, 0, 2]
 
     def test_limits_enforced(self):
-        from repro.common.errors import TraceError
+        from repro.common.errors import ConfigError, TraceError
         from repro.sim.trace import (
             MAX_FLAT_ADDR,
             MAX_FLAT_CORE,
@@ -187,7 +211,7 @@ class TestFlatPrograms:
             pack_flat_program([(-1, 0, False)])
 
     def test_multi_stream_rejected(self):
-        from repro.common.errors import TraceError
+        from repro.common.errors import ConfigError, TraceError
         from repro.sim.trace import PackedTrace, unpack_flat_program
 
         with pytest.raises(TraceError):

@@ -1,11 +1,11 @@
 """Unit tests for trace characterization."""
 
-from repro.sim.trace import Trace
+from repro.sim.trace import PackedTrace
 from repro.workloads.characterize import histogram_buckets, profile_trace
 
 
 def make_trace():
-    trace = Trace(4)
+    trace = PackedTrace(4)
     # Block 0: private to core 0 (two accesses, one write).
     trace.append(0, 0, True)
     trace.append(0, 32, False)
@@ -40,7 +40,7 @@ class TestProfile:
         assert profile.private_access_fraction == 2 / 8
 
     def test_empty_trace(self):
-        profile = profile_trace(Trace(2), 64)
+        profile = profile_trace(PackedTrace(2), 64)
         assert profile.unique_blocks == 0
         assert profile.private_block_fraction == 0.0
         assert profile.write_fraction == 0.0
@@ -65,7 +65,7 @@ class TestBuckets:
         # empty and the deg=5-8 range may be partial; every degree that
         # actually occurs must still land in exactly one bucket.
         for cores in (2, 4, 6, 8):
-            trace = Trace(cores)
+            trace = PackedTrace(cores)
             for core in range(cores):
                 trace.append(core, 0, False)       # degree = cores
                 trace.append(core, (core + 1) << 6, False)  # degree 1

@@ -66,20 +66,28 @@ class TestProducerConsumer:
         assert profile.degree_fraction(2) == 1.0
 
     def test_producer_writes_consumer_reads(self):
-        trace = producer_consumer(2, OPS, rng(), comm_frac=1.0, return_frac=0.0)
+        trace = producer_consumer(
+            2, OPS, rng(), comm_frac=1.0, return_frac=0.0
+        ).to_trace()
         assert all(w for _, w in trace.ops[0])
         assert not any(w for _, w in trace.ops[1])
 
     def test_return_buffer_reverses_roles(self):
         # On the return buffer the "consumer" core writes and the
         # "producer" core reads — both directions of the hand-off exist.
-        trace = producer_consumer(2, OPS, rng(), comm_frac=1.0, return_frac=1.0)
+        trace = producer_consumer(
+            2, OPS, rng(), comm_frac=1.0, return_frac=1.0
+        ).to_trace()
         assert not any(w for _, w in trace.ops[0])
         assert all(w for _, w in trace.ops[1])
 
     def test_forward_and_return_buffers_disjoint(self):
-        fwd = producer_consumer(2, OPS, rng(), comm_frac=1.0, return_frac=0.0)
-        ret = producer_consumer(2, OPS, rng(), comm_frac=1.0, return_frac=1.0)
+        fwd = producer_consumer(
+            2, OPS, rng(), comm_frac=1.0, return_frac=0.0
+        ).to_trace()
+        ret = producer_consumer(
+            2, OPS, rng(), comm_frac=1.0, return_frac=1.0
+        ).to_trace()
         fwd_blocks = {a >> 6 for core in range(2) for a, _ in fwd.ops[core]}
         ret_blocks = {a >> 6 for core in range(2) for a, _ in ret.ops[core]}
         assert not (fwd_blocks & ret_blocks)
@@ -112,7 +120,7 @@ class TestMigratory:
         # fixed write fraction) drifted with burst alignment.  Parity is
         # now burst-local: positions 0, 2, 4... read; 1, 3, 5... write.
         trace = migratory(1, 200, rng(), migratory_frac=1.0, burst=4)
-        ops = trace.ops[0]
+        ops = trace.to_trace().ops[0]
         for start in range(0, 200, 4):
             chunk = ops[start:start + 4]
             assert [w for _, w in chunk] == [False, True, False, True]
@@ -165,7 +173,7 @@ class TestUniformMix:
 
 class TestDisjointRegions:
     def test_private_regions_never_overlap(self):
-        trace = private_working_set(CORES, OPS, rng(), ws_blocks=64)
+        trace = private_working_set(CORES, OPS, rng(), ws_blocks=64).to_trace()
         per_core_blocks = [
             {addr >> 6 for addr, _ in trace.ops[core]} for core in range(CORES)
         ]
@@ -186,7 +194,7 @@ class TestFalseSharing:
     def test_word_offsets_distinct_per_core(self):
         from repro.workloads.patterns import false_sharing
 
-        trace = false_sharing(CORES, 50, rng(), fs_frac=1.0, hot_blocks=1)
+        trace = false_sharing(CORES, 50, rng(), fs_frac=1.0, hot_blocks=1).to_trace()
         offsets = {
             core: {addr % 64 for addr, _ in trace.ops[core]} for core in range(CORES)
         }
@@ -220,7 +228,7 @@ class TestLockContention:
         from repro.workloads.patterns import lock_contention
 
         trace = lock_contention(1, 200, rng(), lock_frac=1.0, spin_reads=3)
-        ops = trace.ops[0]
+        ops = trace.to_trace().ops[0]
         # First lock section: 3 reads then a write on the same address.
         first_addr = ops[0][0]
         assert [w for _, w in ops[:4]] == [False, False, False, True]
@@ -249,7 +257,7 @@ class TestPhased:
         from repro.workloads.patterns import phased
 
         trace = phased(2, 200, rng(), compute_len=1, exchange_len=8,
-                       compute_blocks=8, exchange_blocks=8)
+                       compute_blocks=8, exchange_blocks=8).to_trace()
         # Even cores write during exchange; odd cores only read shared data.
         shared_min = min(a for a, _ in trace.ops[1])
         odd_shared_writes = [

@@ -43,12 +43,12 @@ class TestGeneration:
     def test_deterministic_by_seed(self):
         a = build_workload("mix", 4, 200, seed=5)
         b = build_workload("mix", 4, 200, seed=5)
-        assert a.ops == b.ops
+        assert a.to_trace().ops == b.to_trace().ops
 
     def test_seed_changes_trace(self):
         a = build_workload("mix", 4, 200, seed=5)
         b = build_workload("mix", 4, 200, seed=6)
-        assert a.ops != b.ops
+        assert a.to_trace().ops != b.to_trace().ops
 
     def test_scales_to_more_cores(self):
         trace = build_workload("blackscholes-like", 16, 50, seed=1)
