@@ -33,12 +33,15 @@ import sys
 import time
 from pathlib import Path
 
-# Standalone bootstrap: make src/ importable when run as a script without
+# Standalone bootstrap: make src/ (and the benchmarks package, for the
+# shared report stamps) importable when run as a script without
 # PYTHONPATH (the pytest path already has it configured).
-_SRC = str(Path(__file__).resolve().parents[1] / "src")
-if _SRC not in sys.path:
-    sys.path.insert(0, _SRC)
+_ROOT = Path(__file__).resolve().parents[1]
+for _path in (str(_ROOT), str(_ROOT / "src")):
+    if _path not in sys.path:
+        sys.path.insert(0, _path)
 
+from benchmarks.bench_vector import git_commit, source_digest
 from repro.analysis.experiments import make_config
 from repro.common.config import DirectoryKind
 from repro.sim.simulator import run_trace
@@ -121,6 +124,8 @@ def run_report(smoke: bool = False, reps: int | None = None) -> dict:
         "ratio": RATIO,
         "seed": SEED,
         "reps": reps,
+        "commit": git_commit(),
+        "src_sha256": source_digest(),
         "cpu_count": os.cpu_count(),
         "python": platform.python_version(),
         "kinds": kinds,

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import time
 from pathlib import Path
 
@@ -26,6 +27,7 @@ from repro.analysis.experiments import make_config
 from repro.common.config import DirectoryKind
 from repro.workloads import store as trace_store
 
+from benchmarks.bench_vector import git_commit, source_digest
 from benchmarks.conftest import once
 
 #: Worker counts the trajectory records.
@@ -102,7 +104,10 @@ def test_runner_scaling(benchmark):
         "benchmark": "runner_scaling",
         "points": len(SCALING_POINTS),
         "ops_per_core": SCALING_OPS,
+        "commit": git_commit(),
+        "src_sha256": source_digest(),
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "trace_generation": _trace_share(),
         "trajectory": trajectory,
         "speedup_vs_serial": {

@@ -4,13 +4,17 @@ The paper's scaling argument (§6) is about what happens to a directory as
 the machine grows; this benchmark makes the simulator itself answer at
 those sizes.  For each core count it runs the ``weakscale-like`` workload
 (fixed ops *per core*, so total work grows with the machine) through the
-serial vector engine and through the bank-parallel run-length batching
+serial vector engine, through the bank-parallel run-length batching
 engine (:mod:`repro.sim.parallel`, conservative and with the optimistic
-warp + replay speculation layer),
+warp + replay speculation layer) and through the native kernel
+(:mod:`repro.sim.native`, when the host can build it),
 asserts the results are **bit-identical** — per-core cycles, the full
 statistics tree and the effective-tracking samples — and records:
 
-* ``accesses_per_sec`` for each engine (simulator throughput), and
+* ``accesses_per_sec`` for each engine (simulator throughput), with the
+  native kernel's rate against the speculative engine
+  (``native_vs_speculative``: the measurement that decides whether the
+  parallel engine still earns its place), and
 * directory ``bytes_per_core`` from the storage model
   (:func:`repro.energy.area.storage_of`) for the full-bit-vector and the
   SCD-style hierarchical sharer formats — the O(N) vs O(sqrt(N) * log N)
@@ -49,6 +53,7 @@ from benchmarks.bench_vector import git_commit, source_digest
 from repro.analysis.experiments import make_config
 from repro.common.config import DirectoryKind, SharerFormat
 from repro.energy.area import storage_of
+from repro.sim.native import native_supports
 from repro.sim.simulator import run_trace
 from repro.sim.vector import vector_supports
 from repro.workloads.suite import build_workload
@@ -65,6 +70,11 @@ SIZES = (16, 64, 256, 1024)
 FULL_OPS = 16000
 SHORT_OPS = 400
 SMOKE_OPS = 400
+
+#: The weak-scaling anchor of the repository benchmark (e2ebench
+#: ``weakscale-256``): cores and ops per core, measured as its own row in
+#: full mode.
+ANCHOR = (256, 8000)
 
 KIND = DirectoryKind.STASH
 RATIO = 0.125
@@ -99,6 +109,9 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
         ("parallel0", dict(engine="parallel")),
         ("parallel_spec", dict(engine="parallel", speculate=True)),
     )
+    native_refused = native_supports(config)
+    if native_refused is None:
+        runs += (("native", dict(engine="native")),)
     for name, kwargs in runs:
         start = time.perf_counter()
         result = run_trace(config, trace, **kwargs)
@@ -133,10 +146,16 @@ def measure_size(num_cores: int, ops_per_core: int) -> dict:
     vector_rate = rates["vector"]
     parallel_rate = rates["parallel0"]
     spec_rate = rates["parallel_spec"]
+    native_rate = rates.get("native")
     return {
         "ops_per_core": ops_per_core,
         "total_ops": total,
         "accesses_per_sec": rates,
+        "native_vs_speculative": (
+            round(native_rate / spec_rate, 3)
+            if native_rate and spec_rate else None
+        ),
+        "native_refused": native_refused,
         "parallel_speedup": (
             round(parallel_rate / vector_rate, 3)
             if vector_rate and parallel_rate else None
@@ -175,6 +194,8 @@ def run_report(smoke: bool = False, ops: int | None = None) -> dict:
             str(num_cores): measure_size(num_cores, SHORT_OPS)
             for num_cores in SIZES
         }
+    if not smoke:
+        payload["anchor"] = {str(ANCHOR[0]): measure_size(*ANCHOR)}
     return payload
 
 
@@ -242,20 +263,27 @@ def main(argv=None) -> int:
     sections = [("sizes", "")]
     if "short_sizes" in payload:
         sections.append(("short_sizes", f" (short, {SHORT_OPS} ops/core)"))
+    if "anchor" in payload:
+        sections.append(("anchor", f" (anchor, {ANCHOR[1]} ops/core)"))
     for section, note in sections:
         if note:
             print(f" {note.strip()}")
-        for num_cores in SIZES:
+        for num_cores in map(int, payload[section]):
             row = payload[section][str(num_cores)]
             rates = row["accesses_per_sec"]
             storage = row["directory_storage"]
+            native = (
+                f"  native {rates['native']:>12,.0f}"
+                f" ({row['native_vs_speculative']:.1f}x spec)"
+                if "native" in rates else "  native refused"
+            )
             print(
                 f"  {num_cores:>5} cores:"
                 f"  vector {rates['vector']:>12,.0f} acc/s"
                 f"  parallel {rates['parallel0']:>12,.0f}"
                 f"  ({row['parallel_speedup']:.2f}x)"
                 f"  spec {rates['parallel_spec']:>12,.0f}"
-                f"  ({row['speculative_speedup']:.2f}x)"
+                f"  ({row['speculative_speedup']:.2f}x){native}"
                 f"  dir B/core: fbv"
                 f" {storage['full_bit_vector']['bytes_per_core']:,.0f}"
                 f" / hier {storage['hierarchical']['bytes_per_core']:,.0f}"

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import json
 import os
+import platform
 import shutil
 import tempfile
 from pathlib import Path
@@ -29,6 +30,7 @@ from repro.analysis import runner
 from repro.service import ServiceConfig, ServiceHandle
 from repro.service.loadgen import fetch_metrics, run_load
 
+from benchmarks.bench_vector import git_commit, source_digest
 from benchmarks.conftest import once
 
 OUTPUT = Path(__file__).resolve().parents[1] / "BENCH_service.json"
@@ -87,7 +89,10 @@ def test_service_throughput(benchmark):
         "ops_per_core": OPS,
         "backend": BACKEND,
         "workers": WORKERS,
+        "commit": git_commit(),
+        "src_sha256": source_digest(),
         "cpu_count": os.cpu_count(),
+        "python": platform.python_version(),
         "cold": cold.to_dict(),
         "warm": warm.to_dict(),
         "warm_vs_cold_throughput": (

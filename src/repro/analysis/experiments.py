@@ -207,10 +207,11 @@ def clear_cache() -> None:
 
 
 def resolve_workloads(workloads) -> List[str]:
-    """Accept a list, the string 'all', or None (quick subset)."""
+    """Accept a list, ``'all'`` (bare or as a one-item list, as argparse
+    passes it), or None (quick subset)."""
     if workloads is None:
         return list(QUICK_WORKLOADS)
-    if workloads == "all":
+    if workloads == "all" or list(workloads) == ["all"]:
         return list(SUITE_ORDER)
     return list(workloads)
 

@@ -105,9 +105,11 @@ class SweepPoint:
     explicit fields, so plain points keep their existing cache keys.
 
     ``engine`` is the execution engine to request (see
-    :func:`repro.sim.simulator.run_trace`).  The default, ``"vector"``,
-    runs every configuration with a flat view on the vector engine and
-    falls back to the interpreter, bit-identically, for the rest.  All
+    :func:`repro.sim.simulator.run_trace`).  The default, ``"native"``,
+    runs every configuration the compiled kernel models natively, hands
+    the rest (and every point on a host without a C compiler) to the
+    vector engine, and that engine hands what it cannot model to the
+    interpreter — bit-identically at every step.  All
     engines produce the same bits, so the engine is not part of the
     point's identity: ``memo_key`` and ``cache_key`` leave it out, a point
     computed on one engine serves requests for any other, and
@@ -119,7 +121,7 @@ class SweepPoint:
     ops_per_core: int = 3000
     seed: int = 1
     obs: Optional[ObsConfig] = None
-    engine: str = "vector"
+    engine: str = "native"
 
     @property
     def memo_key(self) -> tuple:
@@ -753,7 +755,7 @@ def simulate_point(
     config: SystemConfig,
     ops_per_core: int = 3000,
     seed: int = 1,
-    engine: str = "vector",
+    engine: str = "native",
 ) -> SimulationResult:
     """Single-point convenience wrapper over :func:`run_points`."""
     return run_points(

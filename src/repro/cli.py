@@ -178,8 +178,9 @@ def cmd_run(args: argparse.Namespace) -> int:
     system = build_system(config)
     observer = _attach_observer(system, args)
     if args.engine != "interp" and observer is None and not args.warmup:
-        # Engine-selected path; falls back to the interpreter
-        # transparently when the config is outside the flat model.
+        # Engine-selected path: an engine that cannot model the config
+        # hands it on (native -> vector -> interpreter); result.engine
+        # names the engine that ran.
         result = run_trace(
             config, trace, engine=args.engine, speculate=args.speculate
         )
@@ -311,15 +312,15 @@ def _fuzz_replay(path: str) -> int:
         load_case,
         run_differential,
         run_engine_differential,
-        run_parallel_differential,
+        run_trace_differential,
     )
     from .verify.corpus import SEED_CATEGORY
 
     case = load_case(path)
     kind = DirectoryKind(case.kind)
-    if case.category.startswith("parallel-"):
+    if case.category.startswith(("parallel-", "native-")):
         fault = ENGINE_FAULTS[case.fault] if case.fault else None
-        divergences = run_parallel_differential(
+        divergences = run_trace_differential(
             case.program, kinds=[kind], options=case.options, fault=fault
         )
     elif case.category.startswith("engine-"):
@@ -370,11 +371,12 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
 
     ``--engine`` switches the differential axis from organizations to
     *engines*: every program replays on the interpreter, on the vector
-    engine (:mod:`repro.sim.vector`) in flat program order, and on the
-    parallel run-length batching engine (:mod:`repro.sim.parallel`) as a
-    full per-core interleave with speculation off and on, over the
-    flat-capable organizations — all captures must agree bit-for-bit,
-    statistics included.
+    engine (:mod:`repro.sim.vector`) in flat program order, and as a full
+    per-core interleave on the parallel run-length batching engine
+    (:mod:`repro.sim.parallel`) with speculation off and on and on the
+    native kernel (:mod:`repro.sim.native`, where it models the
+    configuration), over the flat-capable organizations — all captures
+    must agree bit-for-bit, statistics included.
     """
     import dataclasses
 
@@ -389,7 +391,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         repro_command,
         run_differential,
         run_engine_differential,
-        run_parallel_differential,
+        run_trace_differential,
         save_case,
         seed_corpus,
     )
@@ -436,7 +438,7 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             divergences = run_engine_differential(
                 program, kinds=kinds, options=options, fault=fault
             )
-            divergences += run_parallel_differential(
+            divergences += run_trace_differential(
                 program, kinds=kinds, options=options, fault=fault
             )
         else:
@@ -461,8 +463,8 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
             if engine_mode:
                 replay_kinds = [kind]
                 runner = (
-                    run_parallel_differential
-                    if divergence.category.startswith("parallel-")
+                    run_trace_differential
+                    if divergence.category.startswith(("parallel-", "native-"))
                     else run_engine_differential
                 )
             else:
@@ -504,9 +506,14 @@ def cmd_fuzz(args: argparse.Namespace) -> int:
         print(
             f"fuzzed {args.seeds} programs x {args.ops} ops "
             f"({len(kinds)} organizations, {checked} engine-differential "
-            "runs): vector and parallel engines agree with the "
+            "runs): vector, parallel and native engines agree with the "
             "interpreter bit-for-bit"
         )
+        from .sim.native import kernel_unavailable
+
+        reason = kernel_unavailable()
+        if reason is not None:
+            print(f"native axis skipped: {reason}")
     else:
         print(
             f"fuzzed {args.seeds} programs x {args.ops} ops "
@@ -647,10 +654,12 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--dram", action="store_true", help="use the banked DRAM model")
     run.add_argument("--moesi", action="store_true", help="run MOESI instead of MESI")
     run.add_argument(
-        "--engine", default="interp", choices=["interp", "vector", "parallel"],
-        help="execution engine (vector = flat table-driven engine, parallel "
-             "= run-length batching engine; bit-identical results, both fall "
-             "back when unsupported)",
+        "--engine", default="interp",
+        choices=["interp", "native", "vector", "parallel"],
+        help="execution engine (native = compiled flat machine, vector = "
+             "flat table-driven engine, parallel = run-length batching "
+             "engine; bit-identical results, each falls back when "
+             "unsupported)",
     )
     run.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=False,
@@ -702,9 +711,11 @@ def build_parser() -> argparse.ArgumentParser:
     replay.add_argument("--seed", type=int, default=1)
     replay.add_argument("--warmup", type=int, default=0)
     replay.add_argument(
-        "--engine", default="interp", choices=["interp", "vector", "parallel"],
-        help="execution engine (vector = flat table-driven engine, "
-             "parallel = run-length batching engine)",
+        "--engine", default="interp",
+        choices=["interp", "native", "vector", "parallel"],
+        help="execution engine (native = compiled flat machine, vector = "
+             "flat table-driven engine, parallel = run-length batching "
+             "engine)",
     )
     replay.add_argument(
         "--speculate", action=argparse.BooleanOptionalAction, default=False,
@@ -753,9 +764,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     fuzz.add_argument(
         "--engine", action="store_true",
-        help="diff the vector and parallel engines against the interpreter "
-             "(bit-exact, statistics included) instead of organizations "
-             "against IDEAL",
+        help="diff the vector, parallel and native engines against the "
+             "interpreter (bit-exact, statistics included) instead of "
+             "organizations against IDEAL",
     )
     fuzz.add_argument(
         "--inject-fault", default=None, metavar="NAME",

@@ -65,7 +65,7 @@ FACTOR_DEFAULTS: Dict[str, tuple] = {
 }
 
 #: Execution engines a manifest may request.
-ENGINES: Tuple[str, ...] = ("interp", "vector", "parallel")
+ENGINES: Tuple[str, ...] = ("interp", "native", "vector", "parallel")
 
 #: Constant config overrides a manifest may carry (-> make_config kwargs).
 CONFIG_OVERRIDES: Tuple[str, ...] = (

@@ -35,6 +35,9 @@ from .results import SimulationResult
 from .system import build_system
 from .trace import PackedTrace, Trace
 
+#: Execution engines ``run_trace`` accepts.
+ENGINES = ("interp", "native", "vector", "parallel")
+
 
 class Simulator:
     """Runs one trace on one coherent system."""
@@ -262,31 +265,36 @@ def run_trace(
     the same ``system`` when one is passed).
 
     ``engine`` selects the execution engine: ``"interp"`` (the controller
-    interpreter above, the reference semantics), ``"vector"`` (the flat
+    interpreter above, the reference semantics), ``"native"`` (the compiled
+    flat machine of :mod:`repro.sim.native`), ``"vector"`` (the flat
     table-driven engine of :mod:`repro.sim.vector`) or ``"parallel"`` (the
     run-length batching engine of :mod:`repro.sim.parallel`).
     ``speculate`` turns on the parallel engine's optimistic warp + replay
     layer.  Every engine and speculation setting produces bit-identical
-    results.  ``"vector"`` and ``"parallel"`` fall back to the interpreter
-    when the configuration is outside the flat model (see
-    :func:`repro.sim.vector.vector_supports`), when a pre-built ``system``
-    or ``observer`` needs the live objects, or when the trace cannot be
-    packed; ``result.engine`` records which engine actually ran.
+    results.  An engine that cannot run a request hands it on rather than
+    approximating: ``"native"`` goes to ``"vector"`` when
+    :func:`repro.sim.native.native_supports` gives a reason (a configuration
+    outside its model, or a host without a C compiler), and ``"vector"`` and
+    ``"parallel"`` go to the interpreter when the configuration is outside
+    the flat model (see :func:`repro.sim.vector.vector_supports`), when a
+    pre-built ``system`` or ``observer`` needs the live objects, or when
+    the trace cannot be packed.  ``result.engine`` records which engine
+    actually ran, so a fallback always shows in the result.
 
     ``engine_workers`` is a legacy setting kept for existing callers: it
     accepts only values meaning "no scan workers" and raises
     :class:`TraceError` for any other (see
     :func:`repro.sim.parallel.resolve_engine_workers`).
     """
-    if engine not in ("interp", "vector", "parallel"):
+    if engine not in ENGINES:
         raise TraceError(
-            f"unknown engine {engine!r} (expected 'interp', 'vector' or 'parallel')"
+            f"unknown engine {engine!r} (expected one of {', '.join(map(repr, ENGINES))})"
         )
     if engine_workers is not None:
         from .parallel import resolve_engine_workers
 
         resolve_engine_workers(engine_workers)
-    if engine in ("vector", "parallel") and system is None and observer is None:
+    if engine != "interp" and system is None and observer is None:
         from .vector import VectorEngine, vector_supports
 
         if vector_supports(config) is None:
@@ -303,6 +311,11 @@ def run_trace(
                     from .parallel import ParallelEngine
 
                     return ParallelEngine(config, speculate=speculate).run(packed)
+                if engine == "native":
+                    from .native import NativeEngine, native_supports
+
+                    if native_supports(config) is None:
+                        return NativeEngine(config).run(packed)
                 return VectorEngine(config).run(packed)
     if system is None:
         system = build_system(config)

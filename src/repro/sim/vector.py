@@ -41,8 +41,8 @@ allocates entries (returning any victim) and releases them; directory
 occupancy, the effective-tracking input, is one shared counter.
 
 Configurations outside the flat model (see :func:`vector_supports`) are
-the interpreter's: ``run_trace(..., engine="vector")`` falls back
-transparently rather than approximating.
+the interpreter's: ``run_trace(..., engine="vector")`` runs them there
+rather than approximating, and ``result.engine`` records that it did.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ def vector_supports(config: SystemConfig) -> Optional[str]:
 
     The vector engine refuses rather than approximates: any feature whose
     interpreter semantics the flat state does not replicate bit-for-bit is
-    a fallback reason, and :func:`repro.sim.simulator.run_trace` silently
-    routes those configurations to the interpreter.
+    a fallback reason.  :func:`repro.sim.simulator.run_trace` routes those
+    configurations to the interpreter, and the result's ``engine`` field
+    (``"interp"`` instead of the requested engine) shows the fallback.
     """
     kind = config.directory.kind
     if kind not in _FLAT_KINDS:
@@ -1756,109 +1757,166 @@ class _FlatMachine:
 
     # -- statistics folding ---------------------------------------------------------
 
-    def flat_stats(self) -> Dict[str, float]:
-        """The statistics tree, flattened exactly as the interpreter's.
+    @property
+    def c_dir_relocations(self) -> int:
+        """Cuckoo displacements (the other organizations never relocate)."""
+        return 0 if self.fdir is None else self.fdir.relocations
 
-        The interpreter creates counters lazily on their first event, so a
-        key exists iff its count is nonzero — with two exceptions replicated
-        here: per-class NoC ``hops`` can sit at 0.0 (self-sends) once the
-        class has messages, and ``discovery.probes_sent`` exists at 0.0 once
-        any broadcast was issued (an empty probe set still records it).
-        """
-        s: Dict[str, float] = {}
-        processed = self.processed
-        p = "system.protocol."
-        if processed:
-            s[p + "accesses"] = float(processed)
-            s[p + "latency_total"] = float(self.latency_total)
-        writes = self.writes_ct
-        reads = processed - writes
-        if reads:
-            s[p + "reads"] = float(reads)
-        if writes:
-            s[p + "writes"] = float(writes)
-        l1_hits = processed - self.c_l1_misses - self.c_upgrades
-        for name, value in (
-            ("l1_hits", l1_hits),
-            ("l1_misses", self.c_l1_misses),
-            ("upgrade_misses", self.c_upgrades),
-            ("coverage_misses", self.c_coverage),
-            ("llc_hits", self.c_llc_hits),
-            ("llc_misses", self.c_llc_misses),
-            ("forwards", self.c_forwards),
-            ("forward_nacks", self.c_forward_nacks),
-            ("self_regrants", self.c_self_regrants),
-            ("owned_transitions", self.c_owned_transitions),
-            ("upgrade_requests", self.c_upgrade_requests),
-            ("l1_writebacks", self.c_l1_writebacks),
-            ("silent_clean_evictions", self.c_silent_clean),
-            ("clean_eviction_notices", self.c_clean_notices),
-            ("write_inval_msgs", self.c_write_inval_msgs),
-            ("dir_eviction_inval_msgs", self.c_dir_ev_inval_msgs),
-            ("dir_induced_invalidations", self.c_dir_induced),
-            ("dir_evictions_private", self.c_dir_ev_private),
-            ("dir_evictions_shared", self.c_dir_ev_shared),
-            ("llc_evictions", self.c_llc_evictions),
-            ("stash_evictions", self.c_stash_evictions),
-            ("empty_entry_deallocations", self.c_empty_deallocs),
-            ("hider_upgrades", self.c_hider_upgrades),
-            ("llc_back_invalidations", self.c_llc_back_invals),
-            ("owned_copies_dropped", self.c_owned_dropped),
-        ):
-            if value:
-                s[p + name] = float(value)
-        for core in range(self.n):
-            fills = self.l1_fills[core]
-            if fills:
-                s[f"system.l1.{core}.array.fills"] = float(fills)
-            removals = self.l1_removals[core]
-            if removals:
-                s[f"system.l1.{core}.array.removals"] = float(removals)
-        for name, value in (
-            ("array.fills", self.c_llc_fills),
-            ("array.removals", self.c_llc_removals),
-            ("writebacks_absorbed", self.c_llc_wb_absorbed),
-            ("stash_bits_set", self.c_stash_set),
-            ("stash_bits_cleared", self.c_stash_cleared),
-        ):
-            if value:
-                s["system.llc." + name] = float(value)
-        for name, value in (
-            ("hits", self.c_dir_hits),
-            ("misses", self.c_dir_misses),
-            ("allocations", self.c_dir_allocs),
-            ("deallocations", self.c_dir_deallocs),
-            ("evictions", self.c_dir_evictions),
-            ("evictions_invalidate", self.c_dir_ev_act_inval),
-            ("evictions_stash", self.c_dir_ev_act_stash),
-            ("forced_invalidations", self.c_dir_forced),
-            ("relocations", 0 if self.fdir is None else self.fdir.relocations),
-        ):
-            if value:
-                s["system.directory." + name] = float(value)
-        nm = self.nm
-        any_class = False
-        for i, name in enumerate(_MC_NAMES):
-            if nm[i]:
-                any_class = True
-                s[f"system.noc.msgs.{name}"] = float(nm[i])
-                s[f"system.noc.hops.{name}"] = float(self.nh[i])
-                s[f"system.noc.flit_hops.{name}"] = float(self.nf[i])
-        if any_class:
-            s["system.noc.msgs.total"] = float(sum(nm))
-            s["system.noc.flit_hops.total"] = float(sum(self.nf))
-        if self.c_mem_reads:
-            s["system.memory.reads"] = float(self.c_mem_reads)
-        if self.c_mem_writes:
-            s["system.memory.writes"] = float(self.c_mem_writes)
-        if self.c_disc_broadcasts:
-            s["system.discovery.broadcasts"] = float(self.c_disc_broadcasts)
-            s["system.discovery.probes_sent"] = float(self.c_disc_probes)
-        if self.c_disc_false:
-            s["system.discovery.false_discoveries"] = float(self.c_disc_false)
-        if self.c_disc_success:
-            s["system.discovery.successful_discoveries"] = float(self.c_disc_success)
-        return s
+    def flat_stats(self) -> Dict[str, float]:
+        """The statistics tree, flattened exactly as the interpreter's."""
+        return fold_flat_stats(
+            self.processed,
+            self.writes_ct,
+            self.latency_total,
+            [getattr(self, attr) for _, attr in FLAT_COUNTERS],
+            self.l1_fills,
+            self.l1_removals,
+            self.nm,
+            self.nh,
+            self.nf,
+        )
+
+
+#: Every flat counter as ``(statistic key, _FlatMachine attribute)``, in
+#: the order :func:`fold_flat_stats` folds them.  The native kernel's
+#: counter block (``repro/sim/native.c``) has the same layout.
+FLAT_COUNTERS = tuple(
+    (prefix + name, attr)
+    for prefix, rows in (
+        (
+            "system.protocol.",
+            (
+                ("l1_misses", "c_l1_misses"),
+                ("upgrade_misses", "c_upgrades"),
+                ("coverage_misses", "c_coverage"),
+                ("llc_hits", "c_llc_hits"),
+                ("llc_misses", "c_llc_misses"),
+                ("forwards", "c_forwards"),
+                ("forward_nacks", "c_forward_nacks"),
+                ("self_regrants", "c_self_regrants"),
+                ("owned_transitions", "c_owned_transitions"),
+                ("upgrade_requests", "c_upgrade_requests"),
+                ("l1_writebacks", "c_l1_writebacks"),
+                ("silent_clean_evictions", "c_silent_clean"),
+                ("clean_eviction_notices", "c_clean_notices"),
+                ("write_inval_msgs", "c_write_inval_msgs"),
+                ("dir_eviction_inval_msgs", "c_dir_ev_inval_msgs"),
+                ("dir_induced_invalidations", "c_dir_induced"),
+                ("dir_evictions_private", "c_dir_ev_private"),
+                ("dir_evictions_shared", "c_dir_ev_shared"),
+                ("llc_evictions", "c_llc_evictions"),
+                ("stash_evictions", "c_stash_evictions"),
+                ("empty_entry_deallocations", "c_empty_deallocs"),
+                ("hider_upgrades", "c_hider_upgrades"),
+                ("llc_back_invalidations", "c_llc_back_invals"),
+                ("owned_copies_dropped", "c_owned_dropped"),
+            ),
+        ),
+        (
+            "system.llc.",
+            (
+                ("array.fills", "c_llc_fills"),
+                ("array.removals", "c_llc_removals"),
+                ("writebacks_absorbed", "c_llc_wb_absorbed"),
+                ("stash_bits_set", "c_stash_set"),
+                ("stash_bits_cleared", "c_stash_cleared"),
+            ),
+        ),
+        (
+            "system.directory.",
+            (
+                ("hits", "c_dir_hits"),
+                ("misses", "c_dir_misses"),
+                ("allocations", "c_dir_allocs"),
+                ("deallocations", "c_dir_deallocs"),
+                ("evictions", "c_dir_evictions"),
+                ("evictions_invalidate", "c_dir_ev_act_inval"),
+                ("evictions_stash", "c_dir_ev_act_stash"),
+                ("forced_invalidations", "c_dir_forced"),
+                ("relocations", "c_dir_relocations"),
+            ),
+        ),
+        ("system.memory.", (("reads", "c_mem_reads"), ("writes", "c_mem_writes"))),
+        (
+            "system.discovery.",
+            (
+                ("broadcasts", "c_disc_broadcasts"),
+                ("probes_sent", "c_disc_probes"),
+                ("false_discoveries", "c_disc_false"),
+                ("successful_discoveries", "c_disc_success"),
+            ),
+        ),
+    )
+    for name, attr in rows
+)
+_COUNTER_KEYS = [key for key, _ in FLAT_COUNTERS]
+# Row positions fold_flat_stats interleaves the other blocks at: per-core
+# L1 rows follow the protocol rows, the NoC block precedes memory.
+_N_PROTOCOL = sum(key.startswith("system.protocol.") for key in _COUNTER_KEYS)
+_NOC_AT = _COUNTER_KEYS.index("system.memory.reads")
+_BROADCASTS = _COUNTER_KEYS.index("system.discovery.broadcasts")
+_PROBES = _COUNTER_KEYS.index("system.discovery.probes_sent")
+
+
+def fold_flat_stats(
+    processed: int,
+    writes: int,
+    latency_total: int,
+    counts: List[int],
+    l1_fills: List[int],
+    l1_removals: List[int],
+    nm: List[int],
+    nh: List[int],
+    nf: List[int],
+) -> Dict[str, float]:
+    """Fold flat counters into the interpreter's flattened statistics tree.
+
+    ``counts`` follows :data:`FLAT_COUNTERS`.  The interpreter creates
+    counters lazily on their first event, so a key exists iff its count is
+    nonzero — with two exceptions replicated here: per-class NoC ``hops``
+    can sit at 0.0 (self-sends) once the class has messages, and
+    ``discovery.probes_sent`` exists at 0.0 once any broadcast was issued
+    (an empty probe set still records it).
+    """
+    s: Dict[str, float] = {}
+    p = "system.protocol."
+    if processed:
+        s[p + "accesses"] = float(processed)
+        s[p + "latency_total"] = float(latency_total)
+    reads = processed - writes
+    if reads:
+        s[p + "reads"] = float(reads)
+    if writes:
+        s[p + "writes"] = float(writes)
+    l1_hits = processed - counts[0] - counts[1]  # less misses and upgrades
+    if l1_hits:
+        s[p + "l1_hits"] = float(l1_hits)
+    for i in range(_N_PROTOCOL):
+        if counts[i]:
+            s[_COUNTER_KEYS[i]] = float(counts[i])
+    for core, fills in enumerate(l1_fills):
+        if fills:
+            s[f"system.l1.{core}.array.fills"] = float(fills)
+        removals = l1_removals[core]
+        if removals:
+            s[f"system.l1.{core}.array.removals"] = float(removals)
+    for i in range(_N_PROTOCOL, _NOC_AT):
+        if counts[i]:
+            s[_COUNTER_KEYS[i]] = float(counts[i])
+    any_class = False
+    for i, name in enumerate(_MC_NAMES):
+        if nm[i]:
+            any_class = True
+            s[f"system.noc.msgs.{name}"] = float(nm[i])
+            s[f"system.noc.hops.{name}"] = float(nh[i])
+            s[f"system.noc.flit_hops.{name}"] = float(nf[i])
+    if any_class:
+        s["system.noc.msgs.total"] = float(sum(nm))
+        s["system.noc.flit_hops.total"] = float(sum(nf))
+    for i in range(_NOC_AT, len(FLAT_COUNTERS)):
+        if counts[i] or (i == _PROBES and counts[_BROADCASTS]):
+            s[_COUNTER_KEYS[i]] = float(counts[i])
+    return s
 
 
 class VectorEngine:

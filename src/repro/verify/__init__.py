@@ -23,6 +23,7 @@ from .differ import (
     Divergence,
     ExecutionResult,
     RunOptions,
+    TRACE_ENGINES,
     check_stat_sanity,
     diff_engine_results,
     diff_results,
@@ -32,7 +33,7 @@ from .differ import (
     make_fuzz_config,
     run_differential,
     run_engine_differential,
-    run_parallel_differential,
+    run_trace_differential,
 )
 from .corpus import (
     FailureCase,
@@ -56,6 +57,7 @@ __all__ = [
     "FailureCase",
     "PROFILES",
     "RunOptions",
+    "TRACE_ENGINES",
     "case_key",
     "check_stat_sanity",
     "default_failure_root",
@@ -71,7 +73,7 @@ __all__ = [
     "repro_command",
     "run_differential",
     "run_engine_differential",
-    "run_parallel_differential",
+    "run_trace_differential",
     "save_case",
     "seed_corpus",
 ]

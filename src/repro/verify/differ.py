@@ -47,11 +47,12 @@ statistics tree, which the organization differ deliberately does not
 compare.  :data:`ENGINE_FAULTS` corrupts the vector engine's derived
 transition tables to prove this axis catches table-generation bugs.
 
-A third axis, :func:`run_parallel_differential`, regroups the flat
-program into per-core streams and runs the full timestamp-ordered
-interleave end-to-end on the serial interpreter and on the run-length
-batching engine (:mod:`repro.sim.parallel`) with speculation off and
-on; the complete simulation results must match bit-for-bit.
+A third axis, :func:`run_trace_differential`, regroups the flat program
+into per-core streams and runs the full timestamp-ordered interleave
+end-to-end on the serial interpreter and on the whole-trace engines: the
+run-length batching engine (:mod:`repro.sim.parallel`) with speculation
+off and on, and the native kernel (:mod:`repro.sim.native`); the complete
+simulation results must match bit-for-bit.
 """
 
 from __future__ import annotations
@@ -313,7 +314,7 @@ def _corrupt_e_write_cell(tables: L1Tables) -> L1Tables:
 def _undo_log_fault(tables: L1Tables) -> L1Tables:
     # The tables stay clean: this fault lives inside the parallel engine's
     # speculation layer (the first deferred write surfaced from an undo
-    # log downgrades to SHARED), so :func:`run_parallel_differential`
+    # log downgrades to SHARED), so :func:`run_trace_differential`
     # recognizes it by name and arms ``ParallelEngine._corrupt_flush``
     # on the speculative runs instead of corrupting the table copy.
     return tables
@@ -797,37 +798,51 @@ def diff_engine_results(
     return None
 
 
-def run_parallel_differential(
+#: Engines :func:`run_trace_differential` checks by default: the parallel
+#: engine with speculation off (``"parallel"``) and on (``"speculate"``),
+#: and the native kernel (``"native"``).
+TRACE_ENGINES = ("parallel", "speculate", "native")
+
+
+def run_trace_differential(
     program: Sequence[FlatOp],
     *,
     kinds: Sequence[DirectoryKind] = ENGINE_KINDS,
     options: RunOptions = RunOptions(),
     fault: Optional[FaultSpec] = None,
+    engines: Sequence[str] = TRACE_ENGINES,
     epoch_ops: int = 96,
-    speculate: Sequence[bool] = (False, True),
     spec_min: int = 4,
 ) -> List[Divergence]:
-    """Run the parallel engine against the interpreter on one program.
+    """Run whole-trace engines against the interpreter on one program.
 
     Where :func:`run_engine_differential` replays the *global* flat order
     op by op, this axis exercises the full timestamp-ordered interleave:
     the program's ops are regrouped into per-core streams (per-core order
     preserved) and the whole trace runs end-to-end on the serial
-    interpreter and on :class:`repro.sim.parallel.ParallelEngine` — once
-    per ``speculate`` setting — over the same configuration.  The complete
+    interpreter and on each engine in ``engines`` (see
+    :data:`TRACE_ENGINES`) over the same configuration.  The complete
     :class:`~repro.sim.results.SimulationResult` must agree bit-for-bit:
     per-core cycles, the flattened statistics tree and the
-    effective-tracking samples.  ``epoch_ops`` is deliberately tiny so a
-    few hundred ops cross many scan windows (stale-snapshot revalidation,
+    effective-tracking samples.
+
+    For the parallel engine ``epoch_ops`` is deliberately tiny so a few
+    hundred ops cross many scan windows (stale-snapshot revalidation,
     window refills and warp commits all fire), and the speculative runs
-    drop the chunk threshold to ``spec_min`` so short adversarial
-    programs still build, flush, validate and squash undo logs.
+    drop the chunk threshold to ``spec_min`` so short adversarial programs
+    still build, flush, validate and squash undo logs.  The native axis
+    runs only where :func:`repro.sim.native.native_supports` accepts the
+    configuration (a full-bit-vector or SCD directory on a host with a C
+    compiler).
+
     ``fault`` (from :data:`ENGINE_FAULTS`) corrupts the tables handed to
-    the parallel side only — except ``undo-corrupt``, which instead arms
+    the checked engines only — except ``undo-corrupt``, which instead arms
     the speculation layer's undo-log corruption hook on the speculative
-    runs.  Categories are prefixed ``parallel-``.
+    runs.  Categories are prefixed ``parallel-`` or ``native-``, and each
+    detail starts with a label naming the kind and engine run.
     """
     from ..common.addr import log2_exact
+    from ..sim.native import NativeEngine, native_supports
     from ..sim.parallel import ParallelEngine
     from ..sim.simulator import run_trace
     from ..sim.trace import PackedTrace, Trace
@@ -848,31 +863,41 @@ def run_parallel_differential(
         tables = None
         if fault is not None and not undo_fault:
             tables = fault.inject(l1_tables(config.protocol))
-        for spec in speculate:
-            label = f"{kind.value} (speculate={'on' if spec else 'off'})"
+        for name in engines:
+            if name == "native":
+                if native_supports(config) is not None:
+                    continue
+                label, axis = f"{kind.value} (native)", "native"
+            else:
+                spec = name == "speculate"
+                label = f"{kind.value} (speculate={'on' if spec else 'off'})"
+                axis = "parallel"
             try:
-                engine = ParallelEngine(
-                    config,
-                    tables=tables,
-                    epoch_ops=epoch_ops,
-                    speculate=spec,
-                    spec_min=spec_min if spec else None,
-                )
-                if undo_fault and spec:
-                    engine._corrupt_flush = True
+                if name == "native":
+                    engine = NativeEngine(config, tables=tables)
+                else:
+                    engine = ParallelEngine(
+                        config,
+                        tables=tables,
+                        epoch_ops=epoch_ops,
+                        speculate=spec,
+                        spec_min=spec_min if spec else None,
+                    )
+                    if undo_fault and spec:
+                        engine._corrupt_flush = True
                 candidate = engine.run(packed)
             except (ReproError, IndexError, KeyError, AssertionError) as exc:
                 divergences.append(
                     Divergence(
                         kind.value,
-                        "parallel-crash",
+                        f"{axis}-crash",
                         f"{label}: {type(exc).__name__}: {exc}",
                     )
                 )
                 continue
             if candidate.cycles_per_core != reference.cycles_per_core:
                 diffs = [
-                    f"core {c}: interp={want} parallel={got}"
+                    f"core {c}: interp={want} {axis}={got}"
                     for c, (want, got) in enumerate(
                         zip(reference.cycles_per_core, candidate.cycles_per_core)
                     )
@@ -881,22 +906,22 @@ def run_parallel_differential(
                 divergences.append(
                     Divergence(
                         kind.value,
-                        "parallel-cycles",
+                        f"{axis}-cycles",
                         f"{label}: per-core cycles differ: " + "; ".join(diffs[:4]),
                     )
                 )
             elif sorted(candidate.stats.items()) != ref_stats:
                 keys = set(reference.stats) | set(candidate.stats)
                 diffs = [
-                    f"{name}: interp={reference.stats.get(name)} "
-                    f"parallel={candidate.stats.get(name)}"
-                    for name in sorted(keys)
-                    if reference.stats.get(name) != candidate.stats.get(name)
+                    f"{stat}: interp={reference.stats.get(stat)} "
+                    f"{axis}={candidate.stats.get(stat)}"
+                    for stat in sorted(keys)
+                    if reference.stats.get(stat) != candidate.stats.get(stat)
                 ]
                 divergences.append(
                     Divergence(
                         kind.value,
-                        "parallel-stats",
+                        f"{axis}-stats",
                         f"{label}: stat trees differ: " + "; ".join(diffs[:4]),
                     )
                 )
@@ -907,7 +932,7 @@ def run_parallel_differential(
                 divergences.append(
                     Divergence(
                         kind.value,
-                        "parallel-samples",
+                        f"{axis}-samples",
                         f"{label}: effective-tracking sample series differ",
                     )
                 )

@@ -102,7 +102,9 @@ def test_parallel_256core_smoke():
 
 
 def test_tri_engine_1024core_bit_identical():
-    """The paper's largest machine: all three engines agree at 1024 cores."""
+    """The paper's largest machine: every engine agrees at 1024 cores."""
+    from repro.sim.native import native_supports
+
     config = make_config(DirectoryKind.STASH, 0.125, num_cores=1024, seed=1)
     trace = PackedTrace.from_trace(
         build_workload("weakscale-like", 1024, 120, seed=1)
@@ -111,10 +113,14 @@ def test_tri_engine_1024core_bit_identical():
     vector = run_trace(config, trace, engine="vector")
     parallel = run_trace(config, trace, engine="parallel")
     speculative = run_trace(config, trace, engine="parallel", speculate=True)
+    native = run_trace(config, trace, engine="native")
     assert vector == interp
     assert parallel == interp
     assert speculative == interp
+    assert native == interp
     assert speculative.engine == "parallel"
+    expected = "native" if native_supports(config) is None else "vector"
+    assert native.engine == expected
 
 
 @pytest.mark.parametrize("speculate", [False, True])

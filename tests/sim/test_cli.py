@@ -62,6 +62,17 @@ class TestCommands:
         assert code == 0
         assert "storage" in capsys.readouterr().out
 
+    def test_experiment_workloads_all(self, capsys):
+        # argparse hands ``--workloads all`` over as ['all']; every suite
+        # workload must come back, not "unknown workload 'all'".
+        from repro.workloads.suite import SUITE_ORDER
+
+        code = main(["experiment", "F7", "--workloads", "all", "--ops", "20"])
+        assert code == 0
+        out = capsys.readouterr().out
+        for name in SUITE_ORDER:
+            assert name in out
+
     def test_gen_trace_and_replay(self, tmp_path, capsys):
         path = tmp_path / "t.csv"
         code = main(["gen-trace", "--workload", "mix", "--ops", "100",

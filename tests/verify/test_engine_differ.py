@@ -131,6 +131,24 @@ class TestFaultDetection:
         assert divergences
         assert all(d.category.startswith("engine-") for d in divergences)
 
+    def test_table_corrupt_caught_on_native_axis_for_every_kind(self):
+        # The whole-trace native axis sees the corrupted (EXCLUSIVE, write)
+        # cell on every kind the kernel models, from a generated program.
+        from repro.verify import run_trace_differential
+
+        options = RunOptions()
+        program = program_for("mixed", options, ops=300)
+        divergences = run_trace_differential(
+            program,
+            options=options,
+            fault=ENGINE_FAULTS["table-corrupt"],
+            engines=("native",),
+        )
+        assert {d.kind for d in divergences} == {k.value for k in ENGINE_KINDS}
+        for divergence in divergences:
+            assert divergence.category.startswith("native-")
+            assert divergence.detail.startswith(f"{divergence.kind} (native):")
+
     def test_corrupted_table_fails_validation_too(self):
         # Independent second line of defense: the analytic cross-check
         # rejects the same corruption the differ catches dynamically.
@@ -164,22 +182,23 @@ class TestFaultDetection:
 
 
 class TestParallelSpeculationAxis:
-    """The parallel axis runs speculation on and off for every program."""
+    """The whole-trace axis runs speculation on and off for every program
+    (and the native kernel: a clean program agrees on every engine)."""
 
     def test_clean_program_agrees_with_speculation(self):
-        from repro.verify import run_parallel_differential
+        from repro.verify import run_trace_differential
 
         options = RunOptions()
         program = program_for("stash_race", options, ops=300)
-        assert run_parallel_differential(program, options=options) == []
+        assert run_trace_differential(program, options=options) == []
 
     def test_undo_corrupt_caught_only_by_speculative_runs(self):
-        from repro.verify import run_parallel_differential
+        from repro.verify import run_trace_differential
 
         options = RunOptions()
         program = program_for("stash_race", options, ops=300)
         fault = ENGINE_FAULTS["undo-corrupt"]
-        divergences = run_parallel_differential(
+        divergences = run_trace_differential(
             program, options=options, fault=fault
         )
         assert divergences, "undo-log corruption must be detected"
@@ -187,15 +206,16 @@ class TestParallelSpeculationAxis:
         assert all("speculate=on" in d.detail for d in divergences)
 
     def test_table_corrupt_caught_with_speculation_off_and_on(self):
-        from repro.verify import run_parallel_differential
+        from repro.verify import run_trace_differential
 
         options = RunOptions()
         program = program_for("mixed", options, ops=300)
-        divergences = run_parallel_differential(
+        divergences = run_trace_differential(
             program,
             kinds=[DirectoryKind.STASH],
             options=options,
             fault=ENGINE_FAULTS["table-corrupt"],
+            engines=("parallel", "speculate"),
         )
         assert all(d.category.startswith("parallel-") for d in divergences)
         labels = {d.detail.split(":", 1)[0] for d in divergences}
